@@ -27,18 +27,27 @@ import (
 
 // --- public-API micro-benchmarks ---
 
-func benchDB(b *testing.B, valSize int) *DB {
+// benchKeyCount is the number of preloaded keys the micro-benchmarks
+// rotate over.
+const benchKeyCount = 4096
+
+// benchDB opens a database preloaded with benchKeyCount values and
+// returns their keys, formatted once here so the timed loops measure the
+// store rather than workload.FormatKey's fmt.Sprintf.
+func benchDB(b *testing.B, valSize int) (*DB, [][]byte) {
 	b.Helper()
 	db, err := Open(Config{Partitions: 1, Buckets: 4096, EPCBytes: 8 << 20, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 4096; i++ {
-		if err := db.Set(workload.FormatKey(uint64(i)), workload.MakeValue(valSize, uint64(i))); err != nil {
+	keys := make([][]byte, benchKeyCount)
+	for i := range keys {
+		keys[i] = workload.FormatKey(uint64(i))
+		if err := db.Set(keys[i], workload.MakeValue(valSize, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return db
+	return db, keys
 }
 
 // reportVirtualKops reports the simulator throughput over the measured
@@ -54,13 +63,13 @@ func BenchmarkGet16B(b *testing.B)  { benchGet(b, 16) }
 func BenchmarkGet512B(b *testing.B) { benchGet(b, 512) }
 
 func benchGet(b *testing.B, valSize int) {
-	db := benchDB(b, valSize)
+	db, keys := benchDB(b, valSize)
 	defer db.Close()
 	before := db.Stats().VirtualSeconds
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Get(workload.FormatKey(uint64(i % 4096))); err != nil {
+		if _, err := db.Get(keys[i%benchKeyCount]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,14 +78,14 @@ func benchGet(b *testing.B, valSize int) {
 }
 
 func BenchmarkSet512B(b *testing.B) {
-	db := benchDB(b, 512)
+	db, keys := benchDB(b, 512)
 	defer db.Close()
 	val := workload.MakeValue(512, 7)
 	before := db.Stats().VirtualSeconds
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.Set(workload.FormatKey(uint64(i%4096)), val); err != nil {
+		if err := db.Set(keys[i%benchKeyCount], val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,20 +94,20 @@ func BenchmarkSet512B(b *testing.B) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	db := benchDB(b, 16)
+	db, keys := benchDB(b, 16)
 	defer db.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Rotate keys so values stay small.
-		if err := db.Append(workload.FormatKey(uint64(i%4096)), []byte("x")); err != nil {
+		if err := db.Append(keys[i%benchKeyCount], []byte("x")); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkIncr(b *testing.B) {
-	db := benchDB(b, 16)
+	db, _ := benchDB(b, 16)
 	defer db.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -161,7 +170,7 @@ func BenchmarkBatch(b *testing.B) {
 	}{{"uniform", workload.Uniform}, {"zipf99", workload.Zipf99}} {
 		for _, size := range []int{1, 8, 32, 128} {
 			b.Run(fmt.Sprintf("%s/batch%d", dist.name, size), func(b *testing.B) {
-				db := benchDB(b, 128)
+				db, _ := benchDB(b, 128)
 				defer db.Close()
 				gen := workload.NewGen(workload.Spec{Name: "SET100", ReadPct: 0, Dist: dist.d}, 4096, 42)
 				val := workload.MakeValue(128, 9)

@@ -6,6 +6,7 @@ package client
 
 import (
 	"bytes"
+	"time"
 
 	"shieldstore/internal/proto"
 )
@@ -161,34 +162,46 @@ func (p *Pipeline) push(req *proto.Request) {
 	p.n++
 }
 
-// Flush writes every queued frame in one burst, then reads the replies in
-// order. Results follow queue order; per-op failures are isolated in the
-// individual results. The pipeline is reset and reusable afterwards.
+// Flush writes every queued frame in one Write, then reads the replies in
+// order through the client's buffered reader, so replies that arrive
+// together cost one read between them. Results follow queue order;
+// per-op failures are isolated in the individual results. The pipeline
+// is reset and reusable afterwards. A failed Flush poisons the client's
+// connection, like a failed round trip.
 func (p *Pipeline) Flush() ([]Result, error) {
 	n := p.n
 	if n == 0 {
 		return nil, nil
 	}
-	if _, err := p.c.conn.Write(p.buf.Bytes()); err != nil {
+	c := p.c
+	if c.opts.Timeout > 0 {
+		// One deadline spans the burst and all its replies.
+		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
+	}
+	if _, err := c.conn.Write(p.buf.Bytes()); err != nil {
+		c.broken = true
 		return nil, err
 	}
 	p.buf.Reset()
 	p.n = 0
 	out := make([]Result, n)
 	for i := 0; i < n; i++ {
-		frame, err := proto.ReadFrameInto(p.c.conn, p.frame[:0])
+		frame, err := proto.ReadFrameInto(c.br, p.frame[:0])
 		if err != nil {
+			c.broken = true
 			return nil, err
 		}
 		p.frame = frame
-		if p.c.ch != nil {
-			frame, err = p.c.ch.OpenInPlace(frame)
+		if c.ch != nil {
+			frame, err = c.ch.OpenInPlace(frame)
 			if err != nil {
+				c.broken = true
 				return nil, err
 			}
 		}
 		resp, err := proto.DecodeResponse(frame)
 		if err != nil {
+			c.broken = true
 			return nil, err
 		}
 		out[i] = Result{Value: resp.Value, Num: resp.Num, Err: statusErr(resp.Status)}

@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -66,6 +67,9 @@ type Options struct {
 	// control plane's failure detector) sets it so a wedged or
 	// half-partitioned node costs a bounded wait, never a hang; an
 	// expired deadline surfaces as ErrConnection. 0 means no deadline.
+	// The deadline is armed once at the start of each round trip (and of
+	// each Pipeline.Flush) and never cleared: nothing touches the socket
+	// between round trips, so a lapsed deadline can never fire.
 	Timeout time.Duration
 }
 
@@ -73,6 +77,7 @@ type Options struct {
 // for concurrent use; open one connection per goroutine.
 type Client struct {
 	conn net.Conn
+	br   *bufio.Reader // frame reads; Reset onto each reconnected conn
 	ch   *proto.Channel
 
 	addr    string // reconnect target ("" when wrapping a raw conn)
@@ -80,7 +85,9 @@ type Client struct {
 	broken  bool   // the connection (or its channel state) is unusable
 	retries uint64 // reconnect attempts performed (tests, stats)
 
-	// Reused request/response scratch (encode, seal, frame read).
+	// Reused request/response scratch (encode, seal, frame read). enc
+	// and sealed hold whole frames: the length prefix is reserved at the
+	// front so a request leaves in one Write.
 	enc    []byte
 	sealed []byte
 	frame  []byte
@@ -118,11 +125,11 @@ func NewClient(conn net.Conn, opts Options) (*Client, error) {
 			conn.Close()
 			return nil, err
 		}
-		if opts.Timeout > 0 {
-			conn.SetDeadline(time.Time{})
-		}
 		c.ch = ch
 	}
+	// Created after the handshake, which reads the raw conn: the server
+	// sends nothing more until the first request.
+	c.br = proto.NewFrameReader(conn)
 	return c, nil
 }
 
@@ -143,29 +150,31 @@ func (c *Client) roundTripIdem(req *proto.Request) (*proto.Response, error) {
 
 // exchange sends one request on the current connection and decodes the
 // reply WITHOUT interpreting its status — the raw transport round trip.
-// Encode, seal and frame buffers are reused across calls (DecodeResponse
-// copies the value out before the scratch is recycled). Transport
-// failures come back wrapped in ErrConnection and poison the connection;
-// channel/protocol failures poison it too (the stream or nonce sequence
-// is unrecoverable) but are never retried.
+// The request frame is built whole in the encode (or seal) scratch and
+// sent with one Write; the reply is read through the buffered reader, one
+// read for a frame that fits it. Encode, seal and frame buffers are
+// reused across calls (DecodeResponse copies the value out before the
+// scratch is recycled). Transport failures come back wrapped in
+// ErrConnection and poison the connection; channel/protocol failures
+// poison it too (the stream or nonce sequence is unrecoverable) but are
+// never retried.
 func (c *Client) exchange(req *proto.Request) (*proto.Response, error) {
 	if c.opts.Timeout > 0 {
 		// One deadline spans the whole round trip: a node that accepts the
 		// request and never answers is as failed as one that refuses it.
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-		defer c.conn.SetDeadline(time.Time{})
 	}
-	c.enc = proto.AppendRequest(c.enc[:0], req)
-	wire := c.enc
+	c.enc = proto.AppendRequest(proto.StartFrame(c.enc), req)
+	out := c.enc
 	if c.ch != nil {
-		c.sealed = c.ch.SealTo(c.sealed[:0], c.enc)
-		wire = c.sealed
+		c.sealed = c.ch.SealTo(proto.StartFrame(c.sealed), c.enc[proto.FrameHeader:])
+		out = c.sealed
 	}
-	if err := proto.WriteFrame(c.conn, wire); err != nil {
+	if err := proto.SendFrame(c.conn, out); err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("%w: %v", ErrConnection, err)
 	}
-	frame, err := proto.ReadFrameInto(c.conn, c.frame[:0])
+	frame, err := proto.ReadFrameInto(c.br, c.frame[:0])
 	if err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("%w: %v", ErrConnection, err)

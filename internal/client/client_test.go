@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"testing"
+	"time"
 
 	"shieldstore/internal/core"
 	"shieldstore/internal/mem"
@@ -168,5 +169,33 @@ func TestMGet(t *testing.T) {
 	vals, err = c.MGet(keys...)
 	if err != nil || len(vals) != 100 {
 		t.Fatalf("large mget: %d %v", len(vals), err)
+	}
+}
+
+func TestTimeoutArmedPerRoundTrip(t *testing.T) {
+	// The deadline is armed at the start of every round trip and every
+	// Pipeline.Flush and never cleared, so one that lapsed while the
+	// client sat idle must not fail the next call of either kind.
+	e, addr := testServer(t, true)
+	const timeout = 200 * time.Millisecond
+	c, err := Dial(addr, Options{Secure: true, Verifier: e, Measurement: e.Measurement(), Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := []byte("k")
+	time.Sleep(timeout + timeout/2)
+	if err := c.Set(key, []byte("v")); err != nil {
+		t.Fatalf("set after idle: %v", err)
+	}
+	time.Sleep(timeout + timeout/2)
+	p := c.Pipeline()
+	p.Get(key)
+	if rs, err := p.Flush(); err != nil || string(rs[0].Value) != "v" {
+		t.Fatalf("flush after idle: %v", err)
+	}
+	time.Sleep(timeout + timeout/2)
+	if got, err := c.Get(key); err != nil || string(got) != "v" {
+		t.Fatalf("get after idle: %q, %v", got, err)
 	}
 }

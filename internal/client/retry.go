@@ -145,11 +145,11 @@ func (c *Client) reconnectOnce() error {
 			// flap is a transport-class event.
 			return fmt.Errorf("%w: handshake: %v", ErrConnection, err)
 		}
-		if c.opts.Timeout > 0 {
-			conn.SetDeadline(time.Time{})
-		}
 	}
 	c.conn = conn
+	// Bytes still buffered from the dead conn belong to its session and
+	// must never be read as replies on this one.
+	c.br.Reset(conn)
 	c.ch = ch
 	c.broken = false
 	return nil

@@ -8,7 +8,6 @@ package ctl
 
 import (
 	"errors"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -533,16 +532,15 @@ func (s *Supervisor) acceptLoop() {
 	}
 }
 
+// serveConn answers one connection's requests in order: frames are read
+// through a buffered reader and each response frame leaves in one Write.
 func (s *Supervisor) serveConn(conn net.Conn) {
-	var frame []byte
+	br := proto.NewFrameReader(conn)
+	var frame, out []byte
 	var req proto.Request
 	for {
 		var err error
-		frame, err = proto.ReadFrameInto(conn, frame[:0])
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				return
-			}
+		if frame, err = proto.ReadFrameInto(br, frame[:0]); err != nil {
 			return
 		}
 		resp := proto.Response{Status: proto.StatusError}
@@ -564,7 +562,8 @@ func (s *Supervisor) serveConn(conn net.Conn) {
 				}
 			}
 		}
-		if err := proto.WriteFrame(conn, proto.AppendResponse(nil, &resp)); err != nil {
+		out = proto.AppendResponse(proto.StartFrame(out), &resp)
+		if err := proto.SendFrame(conn, out); err != nil {
 			return
 		}
 	}

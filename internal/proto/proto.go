@@ -13,6 +13,7 @@
 package proto
 
 import (
+	"bufio"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -98,6 +99,21 @@ var (
 
 // MaxFrame bounds a single frame (64 MiB).
 const MaxFrame = 64 << 20
+
+// FrameHeader is the size of a frame's little-endian length prefix.
+const FrameHeader = 4
+
+// ReadBuffer sizes the per-connection bufio.Reader that frames are read
+// through (NewFrameReader). A frame that fits arrives in one read(2); a
+// larger one streams past the buffer straight into the frame buffer.
+const ReadBuffer = 16 << 10
+
+// NewFrameReader wraps one connection end's read side for ReadFrameInto /
+// ReadFrameHeader. The reader may buffer bytes beyond the current frame,
+// so every later frame on that connection must be read through it.
+func NewFrameReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, ReadBuffer)
+}
 
 // Request is a client command.
 type Request struct {
@@ -213,7 +229,29 @@ func DecodeResponse(buf []byte) (*Response, error) {
 	return r, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
+// StartFrame truncates dst and reserves a frame's length prefix at its
+// front. Append the payload after it and pass the result to SendFrame, so
+// the whole frame leaves in a single Write — one socket call per frame.
+func StartFrame(dst []byte) []byte {
+	return append(dst[:0], 0, 0, 0, 0)
+}
+
+// SendFrame fills in the length prefix of a frame begun with StartFrame
+// and writes the frame with one Write. Payloads over MaxFrame are refused
+// before anything is written.
+func SendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - FrameHeader
+	if n > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
+// WriteFrame writes one length-prefixed frame as two Writes (prefix, then
+// payload). Meant for buffered writers; on a raw socket use StartFrame and
+// SendFrame instead.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
@@ -255,11 +293,26 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 //
 //ss:attacker — parses adversary-controlled bytes.
 func ReadFrameHeader(r io.Reader) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+	var n int
+	if br, ok := r.(*bufio.Reader); ok {
+		// Peek the prefix straight out of the buffer: no per-frame header
+		// array escapes to the heap through the io.Reader call.
+		hdr, err := br.Peek(FrameHeader)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF // io.ReadFull's contract
+			}
+			return 0, err
+		}
+		n = int(binary.LittleEndian.Uint32(hdr))
+		_, _ = br.Discard(FrameHeader) // cannot fail: the bytes were just peeked
+	} else {
+		var hdr [FrameHeader]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, err
+		}
+		n = int(binary.LittleEndian.Uint32(hdr[:]))
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
@@ -407,8 +460,10 @@ func clientHandshakeWithKey(rw io.ReadWriter, verifier QuoteVerifier, expect [32
 	sum := sha256.Sum256(priv.PublicKey().Bytes())
 	copy(nonce, sum[:16])
 
-	hello := append(append([]byte{}, priv.PublicKey().Bytes()...), nonce...)
-	if err := WriteFrame(rw, hello); err != nil {
+	frame := append(StartFrame(make([]byte, 0, FrameHeader+48)), priv.PublicKey().Bytes()...)
+	frame = append(frame, nonce...)
+	hello := frame[FrameHeader:]
+	if err := SendFrame(rw, frame); err != nil {
 		return nil, err
 	}
 	reply, err := ReadFrame(rw)
@@ -465,7 +520,7 @@ func ServerHandshake(rw io.ReadWriter, quoter Quoter, entropy io.Reader) (*Chann
 	}
 	pub := priv.PublicKey().Bytes()
 	quote := quoter.Quote(transcript(hello, pub))
-	if err := WriteFrame(rw, append(append([]byte{}, pub...), quote...)); err != nil {
+	if err := SendFrame(rw, append(append(StartFrame(nil), pub...), quote...)); err != nil {
 		return nil, err
 	}
 	shared, err := priv.ECDH(clientPub)

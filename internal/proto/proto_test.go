@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
@@ -69,20 +70,34 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{{}, []byte("a"), bytes.Repeat([]byte{7}, 10000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
+	// Frames written either way read back identically, unbuffered or
+	// through a frame reader, including one larger than its buffer.
+	payloads := [][]byte{{}, []byte("a"), bytes.Repeat([]byte{7}, 10000), bytes.Repeat([]byte{9}, 3*ReadBuffer)}
+	for _, buffered := range []bool{false, true} {
+		var buf bytes.Buffer
+		for i, p := range payloads {
+			var err error
+			if i%2 == 0 {
+				err = WriteFrame(&buf, p)
+			} else {
+				err = SendFrame(&buf, append(StartFrame(nil), p...))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
+		var r io.Reader = &buf
+		if buffered {
+			r = NewFrameReader(&buf)
 		}
-		if !bytes.Equal(got, p) {
-			t.Fatal("frame mismatch")
+		for _, p := range payloads {
+			got, err := ReadFrame(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("buffered=%v: frame mismatch", buffered)
+			}
 		}
 	}
 }
@@ -93,10 +108,38 @@ func TestFrameTooLarge(t *testing.T) {
 	if err := WriteFrame(&buf, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatal("oversized frame written")
 	}
-	// Forged oversized header on read.
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if err := SendFrame(&buf, append(StartFrame(nil), big...)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatal("oversized frame sent")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused frames left %d bytes behind", buf.Len())
+	}
+	// Forged oversized header on read, unbuffered and buffered.
+	forged := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	if _, err := ReadFrame(bytes.NewReader(forged)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatal("oversized frame header accepted")
+	}
+	if _, err := ReadFrame(NewFrameReader(bytes.NewReader(forged))); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatal("oversized frame header accepted through a frame reader")
+	}
+}
+
+func TestTruncatedFrameHeader(t *testing.T) {
+	// A stream that ends inside a length prefix is an unexpected EOF on
+	// both read paths; one that ends before it is a clean EOF.
+	for _, buffered := range []bool{false, true} {
+		for _, tc := range []struct {
+			in   []byte
+			want error
+		}{{nil, io.EOF}, {[]byte{1, 0}, io.ErrUnexpectedEOF}} {
+			var r io.Reader = bytes.NewReader(tc.in)
+			if buffered {
+				r = NewFrameReader(r)
+			}
+			if _, err := ReadFrameHeader(r); err != tc.want {
+				t.Fatalf("buffered=%v, %d header bytes: %v, want %v", buffered, len(tc.in), err, tc.want)
+			}
+		}
 	}
 }
 

@@ -59,23 +59,46 @@ func TestIdleTimeoutClosesSilentConn(t *testing.T) {
 func TestReadTimeoutShedsDribblingClient(t *testing.T) {
 	// A client that announces a frame and then stalls mid-payload is cut
 	// off by the read deadline even though it is never "idle".
-	_, addr := hardenedServer(t, newEnclave(), func(c *Config) {
-		c.ReadTimeout = 100 * time.Millisecond
+	t.Run("split", func(t *testing.T) {
+		_, addr := hardenedServer(t, newEnclave(), func(c *Config) {
+			c.ReadTimeout = 100 * time.Millisecond
+		})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], 128) // promise 128 bytes...
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte{0x01}); err != nil { // ...deliver one
+			t.Fatal(err)
+		}
+		expectServerClose(t, conn, 5*time.Second)
 	})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 128) // promise 128 bytes...
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte{0x01}); err != nil { // ...deliver one
-		t.Fatal(err)
-	}
-	expectServerClose(t, conn, 5*time.Second)
+	// The header and the start of the payload arrive in one segment, so
+	// the server's buffered reader takes both in the read that waits
+	// under the long idle deadline. The rest of the payload must still be
+	// bounded by the short read deadline, not the idle one.
+	t.Run("coalesced", func(t *testing.T) {
+		_, addr := hardenedServer(t, newEnclave(), func(c *Config) {
+			c.IdleTimeout = time.Minute
+			c.ReadTimeout = 100 * time.Millisecond
+		})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		msg := binary.LittleEndian.AppendUint32(nil, 128)
+		msg = append(msg, 0x01, 0x02, 0x03)
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		expectServerClose(t, conn, 5*time.Second)
+	})
 }
 
 func TestHandshakeUnderDeadline(t *testing.T) {

@@ -1,13 +1,15 @@
 // Pipelined connection handling: each connection is served by a
 // decode/submit reader and an in-order writer goroutine joined by a
-// bounded response queue. The reader decodes frames into pooled buffers
-// and submits operations to the engine's partition workers without
-// waiting, so a client's pipelined frames execute concurrently across
-// partitions; the writer resolves each request in submission order,
-// which keeps responses (and the channel's nonce sequence) ordered no
-// matter how execution interleaved. Writes coalesce in a bufio.Writer
-// that flushes when the queue runs dry, so a burst of responses shares
-// one syscall. See DESIGN.md §9 "Exitless dispatch".
+// bounded response queue. The reader reads frames through a
+// per-connection bufio.Reader — one read(2) brings in a whole small frame,
+// or several pipelined ones — copies each into a pooled buffer, and
+// submits operations to the engine's partition workers without waiting,
+// so a client's pipelined frames execute concurrently across partitions;
+// the writer resolves each request in submission order, which keeps
+// responses (and the channel's nonce sequence) ordered no matter how
+// execution interleaved. Writes coalesce in a bufio.Writer that flushes
+// when the queue runs dry, so a burst of responses shares one syscall.
+// See DESIGN.md §9 "Exitless dispatch".
 package server
 
 import (
@@ -57,23 +59,28 @@ var framePool = sync.Pool{
 // the engine (asynchronously when it supports it), and enqueues the
 // in-flight slot on the bounded writer queue — the queue's capacity is
 // the connection's pipeline depth, and enqueueing is the only place the
-// reader blocks on the writer.
+// reader blocks on the writer. Frames are read through a bufio.Reader
+// created here, after the handshake (which reads the raw conn).
 //
 //ss:ecall
 //ss:attacker — frames arrive from the adversary-controlled socket.
 func (s *Server) connReader(conn net.Conn, ch *proto.Channel, wq chan<- *pending, m *sim.Meter) error {
 	model := s.cfg.Enclave.Model()
 	ae, _ := s.cfg.Engine.(AsyncEngine)
+	br := proto.NewFrameReader(conn)
 	var req proto.Request
 	for {
 		// Waiting for the next request runs under the idle deadline;
 		// once a frame header arrives, the payload must follow within the
 		// (typically much shorter) read deadline — a client dribbling one
-		// byte at a time cannot pin this goroutine.
+		// byte at a time cannot pin this goroutine. Buffering keeps the
+		// guard: payload bytes that came in with the header are already
+		// in the buffer, and every further read runs under the read
+		// deadline.
 		if t := s.cfg.IdleTimeout; t > 0 {
 			conn.SetReadDeadline(time.Now().Add(t))
 		}
-		n, err := proto.ReadFrameHeader(conn)
+		n, err := proto.ReadFrameHeader(br)
 		if err != nil {
 			return err
 		}
@@ -81,7 +88,7 @@ func (s *Server) connReader(conn net.Conn, ch *proto.Channel, wq chan<- *pending
 			conn.SetReadDeadline(time.Now().Add(t))
 		}
 		fp := framePool.Get().(*[]byte)
-		frame, err := proto.ReadFramePayloadInto(conn, n, (*fp)[:0])
+		frame, err := proto.ReadFramePayloadInto(br, n, (*fp)[:0])
 		if err != nil {
 			framePool.Put(fp)
 			return err
