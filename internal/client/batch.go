@@ -160,6 +160,7 @@ func (p *Pipeline) push(req *proto.Request) {
 	// Buffered WriteFrame cannot fail.
 	_ = proto.WriteFrame(&p.buf, wire)
 	p.n++
+	p.enc, p.sealed = proto.Retain(p.enc), proto.Retain(p.sealed)
 }
 
 // Flush writes every queued frame in one Write, then reads the replies in
@@ -206,5 +207,6 @@ func (p *Pipeline) Flush() ([]Result, error) {
 		}
 		out[i] = Result{Value: resp.Value, Num: resp.Num, Err: statusErr(resp.Status)}
 	}
+	p.frame = proto.Retain(p.frame)
 	return out, nil
 }

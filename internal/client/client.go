@@ -159,6 +159,7 @@ func (c *Client) roundTripIdem(req *proto.Request) (*proto.Response, error) {
 // poison it too (the stream or nonce sequence is unrecoverable) but are
 // never retried.
 func (c *Client) exchange(req *proto.Request) (*proto.Response, error) {
+	defer c.trimScratch()
 	if c.opts.Timeout > 0 {
 		// One deadline spans the whole round trip: a node that accepts the
 		// request and never answers is as failed as one that refuses it.
@@ -193,6 +194,12 @@ func (c *Client) exchange(req *proto.Request) (*proto.Response, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// trimScratch drops frame scratch that grew past proto.MaxKeptScratch, so
+// one large request or reply does not pin its size for the client's life.
+func (c *Client) trimScratch() {
+	c.enc, c.sealed, c.frame = proto.Retain(c.enc), proto.Retain(c.sealed), proto.Retain(c.frame)
 }
 
 // roundTripOnce is exchange plus the status-to-error mapping every

@@ -17,6 +17,11 @@ import (
 // drainBatch bounds how many pending calls a worker dequeues per wakeup.
 const drainBatch = 64
 
+// maxKeptOps caps the op capacity of batch scratch kept across calls (a
+// worker's drain ops/results, a pooled Call's sub-batch), so one huge
+// batch does not pin its size in every worker and pool slot.
+const maxKeptOps = 1024
+
 // Call is one in-flight operation against a partition worker. Calls are
 // pooled: Submit/SubmitBatch take one from the pool, the worker fills the
 // result slots and signals done, and Wait recycles it. A Call must not be
@@ -57,9 +62,13 @@ func putCall(c *Call) {
 	c.key, c.value, c.val = nil, nil, nil
 	c.err = nil
 	c.results = nil
-	clear(c.batch)
-	c.batch = c.batch[:0]
-	c.scatter = c.scatter[:0]
+	if cap(c.batch) > maxKeptOps {
+		c.batch, c.scatter = nil, nil
+	} else {
+		clear(c.batch)
+		c.batch = c.batch[:0]
+		c.scatter = c.scatter[:0]
+	}
 	callPool.Put(c)
 }
 
@@ -251,6 +260,9 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 			pos++
 		}
 		c.done <- struct{}{}
+	}
+	if cap(ops) > maxKeptOps {
+		return nil, nil
 	}
 	clear(ops) // drop request-buffer refs before the scratch idles
 	return ops[:0], rs

@@ -312,6 +312,19 @@ type lookup struct {
 	val      []byte // decrypted value (valid when found)
 	chainIdx int    // position from head (for chain-ordered MAC sets)
 	chainLen int    // entries walked in the bucket (>= chainIdx+1)
+	// ct is the found entry's ciphertext exactly as the walk read it from
+	// untrusted memory — the bytes val was decrypted from, and the bytes
+	// verifyEntry authenticates. Pooled: verifyEntry releases it; a path
+	// that skips the verify releases it itself.
+	ct *[]byte
+}
+
+// release returns the lookup's ciphertext scratch to the pool.
+func (r *lookup) release() {
+	if r.ct != nil {
+		putScratch(r.ct)
+		r.ct = nil
+	}
 }
 
 // search walks bucket b's chain looking for key. With key hints enabled it
@@ -367,7 +380,6 @@ func (s *Store) walk(m *sim.Meter, b int, key []byte, useHint bool, hint byte) (
 			ptp := getScratch(len(ct))
 			pt := *ptp
 			s.cipher.DecryptKV(m, &hdr.IV, ct, pt)
-			putScratch(ctp)
 			if string(pt[:hdr.KeySize]) == string(key) {
 				res.found = true
 				res.addr = cur
@@ -376,10 +388,12 @@ func (s *Store) walk(m *sim.Meter, b int, key []byte, useHint bool, hint byte) (
 				// The value escapes to the caller, so this one plaintext
 				// buffer is not returned to the pool.
 				res.val = pt[hdr.KeySize:]
+				res.ct = ctp
 				res.chainIdx = idx
 				res.chainLen = idx + 1
 				return res, nil
 			}
+			putScratch(ctp)
 			putScratch(ptp)
 		}
 		link = cur + entry.OffNext
@@ -671,23 +685,22 @@ func (s *Store) verifyMissChain(m *sim.Meter, v *setView, b int) error {
 }
 
 // verifyEntry authenticates the found entry's content against the MAC
-// covered by the set hash (the sidecar slot under MAC bucketing).
+// covered by the set hash (the sidecar slot under MAC bucketing), then
+// releases the lookup's ciphertext scratch.
 //
 //ss:nopanic-ok(positionOf validates the slot before returning an offset)
 func (s *Store) verifyEntry(m *sim.Meter, v *setView, res *lookup) error {
+	defer res.release()
 	p, err := s.positionOf(v, res)
 	if err != nil {
 		return err
 	}
 	authoritative := v.macs[p : p+entry.MACSize]
-	// Reconstruct ciphertext from the decrypted plaintext we already hold
-	// (cheaper than re-reading untrusted memory; the plaintext is in the
-	// enclave). Encryption cost is not re-charged: this is the same pass.
-	ctp := getScratch(res.hdr.CTLen())
-	defer putScratch(ctp)
-	ct := *ctp
-	s.space.Peek(res.addr+entry.HeaderSize, ct)
-	if !s.cipher.VerifyEntryMAC(m, &res.hdr, ct, authoritative) {
+	// MAC the walk's own copy of the ciphertext — the bytes the value was
+	// decrypted from. Fetching a second copy from untrusted memory would
+	// let the host restore a flipped byte between the two reads and pass
+	// a tampered value through verification.
+	if !s.cipher.VerifyEntryMAC(m, &res.hdr, *res.ct, authoritative) {
 		return ErrIntegrity
 	}
 	return nil

@@ -270,6 +270,37 @@ func tamperSetup(t *testing.T, opts Options) (*Store, *sim.Meter, []byte, mem.Ad
 	return s, m, key, res.addr
 }
 
+// TestTamperBetweenFetchesDetected is the double-fetch attack on entry
+// verification: the host flips a value bit before the chain walk reads
+// the ciphertext and restores it before the entry MAC is checked. The
+// MAC must cover the very bytes the value was decrypted from, so the
+// flipped value cannot pass verification.
+func TestTamperBetweenFetchesDetected(t *testing.T) {
+	for name, opts := range allConfigs() {
+		t.Run(name, func(t *testing.T) {
+			s, m, key, addr := tamperSetup(t, opts)
+			b := s.bucketOf(m, key)
+			v, err := s.collectSet(m, b)
+			must(t, err)
+			must(t, s.verifySet(m, &v))
+
+			at := addr + entry.HeaderSize + mem.Addr(len(key)) + 3
+			var orig [1]byte
+			s.space.Peek(at, orig[:])
+			s.space.Tamper(at, []byte{orig[0] ^ 0x10})
+			res, err := s.search(m, b, key)
+			must(t, err)
+			if !res.found {
+				t.Fatal("victim not found after a value-only flip")
+			}
+			s.space.Tamper(at, orig[:]) // restore before the verify
+			if err := s.verifyEntry(m, &v, &res); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("verifyEntry after restore = %v, want ErrIntegrity (value %x)", err, res.val)
+			}
+		})
+	}
+}
+
 func TestTamperCiphertextDetected(t *testing.T) {
 	for name, opts := range allConfigs() {
 		t.Run(name, func(t *testing.T) {

@@ -171,6 +171,7 @@ func (s *Store) relocateSpilled(m *sim.Meter, key []byte, oldPtr vlog.Ptr, val [
 	if err != nil {
 		return false, err
 	}
+	defer res.release()
 	if !res.found || res.hdr.Flags&entry.FlagSpilled == 0 {
 		return false, nil // overwritten inline or deleted since the scan
 	}

@@ -108,6 +108,22 @@ const FrameHeader = 4
 // larger one streams past the buffer straight into the frame buffer.
 const ReadBuffer = 16 << 10
 
+// MaxKeptScratch caps the capacity of a frame-sized scratch buffer kept
+// across calls (client encode/seal/read buffers, the server's pooled
+// frame buffers). A rare large frame is served from a buffer that is then
+// dropped, so one big request does not pin its size for a connection's
+// lifetime.
+const MaxKeptScratch = 64 << 10
+
+// Retain returns b for reuse when its capacity is within MaxKeptScratch,
+// and nil (let it be collected) otherwise.
+func Retain(b []byte) []byte {
+	if cap(b) > MaxKeptScratch {
+		return nil
+	}
+	return b
+}
+
 // NewFrameReader wraps one connection end's read side for ReadFrameInto /
 // ReadFrameHeader. The reader may buffer bytes beyond the current frame,
 // so every later frame on that connection must be read through it.

@@ -1,9 +1,10 @@
 // The replica side of replication: the Applier verifies each frame's
-// chain MAC and sequence, unseals the record, replays it through its own
-// partition workers, and acks the highest contiguously applied sequence
-// (the watermark). Reads the replica serves before promotion are
-// therefore always a prefix of the primary's acknowledged history —
-// never a made-up state. Promotion (CmdPromote) seals a new fencing
+// chain MAC and sequence, unseals the record, replays the payload's
+// verified mutations through its own partition workers as batches, and
+// acks the highest contiguously applied sequence (the watermark). Reads
+// the replica serves before promotion are therefore always a prefix of
+// the primary's acknowledged history — never a made-up state (a refused
+// op that would break the prefix wipes the replica instead). Promotion (CmdPromote) seals a new fencing
 // epoch and flips the node writable; a recovered old primary shipping
 // frames at the stale epoch is rejected with StatusFenced.
 package repl
@@ -24,6 +25,11 @@ import (
 // sealEvery is how many applied frames may pass between epoch/watermark
 // seals — the durability cadence of the replica's fencing state.
 const sealEvery = 256
+
+// applyChunk bounds how many verified mutations one apply batch carries,
+// and so the queued ops (and the unsealed records they alias) held at
+// once.
+const applyChunk = 256
 
 // replStateFile holds the replica's sealed {epoch, nextSeq} pair.
 const replStateFile = "repl.state"
@@ -52,14 +58,20 @@ type Applier struct {
 
 	// mu serializes Apply/Promote (one replication stream at a time; the
 	// serving data path never takes it).
-	mu         sync.Mutex
-	chain      *chainState
-	nextSeq    uint64
-	epoch      uint64
-	promoted   bool
-	sinceSeal  int
-	frameBuf   Frame
-	recScratch []byte
+	mu        sync.Mutex
+	chain     *chainState
+	nextSeq   uint64
+	epoch     uint64
+	promoted  bool
+	sinceSeal int
+	frameBuf  Frame
+	// poisoned: an applied batch had a refused op and the partitions were
+	// wiped; only a reset frame is accepted until one arrives.
+	poisoned bool
+	// ops and seqs queue the payload's verified mutations (and their frame
+	// sequences) until the next apply barrier.
+	ops  []core.BatchOp
+	seqs []uint64
 }
 
 // NewApplier builds a replica apply engine over pool p. The pool's
@@ -148,31 +160,52 @@ func (a *Applier) Promote(epoch uint64) (uint64, uint8) {
 //
 //   - StatusOK: every frame applied (or was a known duplicate).
 //   - StatusReplGap: a contiguous prefix applied; resend from
-//     watermark+1 (sequence gap, or a transient apply failure).
+//     watermark+1 (sequence gap).
 //   - StatusFenced: the stream's epoch is older than ours — the sender
 //     was fenced out by a promotion.
-//   - StatusError: chain break or malformed frame — the stream cannot
-//     continue; the shipper must bootstrap a fresh one.
+//   - StatusError: chain break, malformed frame, or a verified mutation
+//     the engine refused — the stream cannot continue; the shipper must
+//     bootstrap a fresh one.
+//
+// Frames are verified strictly in order, and the verified mutations are
+// applied as batches (one SubmitBatch per barrier: a reset frame, the end
+// of the payload, an early return, or applyChunk ops), so the payload
+// costs one worker round trip per chunk rather than one per frame.
 func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off := 0
-	for off < len(payload) {
+	status := a.verify(m, payload)
+	if !a.applyPending(m) {
+		status = proto.StatusError
+	}
+	return a.nextSeq - 1, status
+}
+
+// verify walks the payload's frames in order — decode, fence, skip
+// duplicates, check the chain or genesis MAC, unseal, decode the record —
+// queueing each verified mutation on a.ops and executing reset frames
+// in place. It returns the payload's status; the caller applies the
+// queued tail. next is the verification cursor: the sequence the next
+// frame must carry, running ahead of a.nextSeq by the queued ops.
+func (a *Applier) verify(m *sim.Meter, payload []byte) uint8 {
+	model := a.enclave.Model()
+	next := a.nextSeq
+	for off := 0; off < len(payload); {
 		f := &a.frameBuf
 		n, body, blob, tag, err := decodeFrame(f, payload[off:])
 		if err != nil {
 			a.logf("repl: apply: malformed frame at offset %d: %v", off, err)
-			return a.nextSeq - 1, proto.StatusError
+			return proto.StatusError
 		}
 		off += n
 		if f.Epoch < a.epoch {
 			// Fencing outranks duplicate detection: a fenced ex-primary's
 			// fresh stream restarts at low sequence numbers, and dup-skipping
 			// those would silently "ack" writes this promoted node never saw.
-			return a.nextSeq - 1, proto.StatusFenced
+			return proto.StatusFenced
 		}
-		if f.Seq < a.nextSeq {
-			// Duplicate of an already-applied frame (a resend overlaps the
+		if f.Seq < next && !a.poisoned {
+			// Duplicate of an already-verified frame (a resend overlaps the
 			// applied prefix). The chain already covers it; skip without
 			// re-verifying or re-applying (Incr/Append are not idempotent).
 			continue
@@ -181,80 +214,114 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 		// sequence forward); anything else must extend it in exact
 		// sequence order. The kind lives inside the sealed record, so
 		// classify by which verification succeeds: continuation first,
-		// genesis as the fallback.
-		model := a.enclave.Model()
+		// genesis as the fallback. A poisoned replica (see applyPending)
+		// accepts nothing but a reset.
 		isReset := false
-		if a.chain.check(m, model, body, tag) {
-			if f.Seq != a.nextSeq {
+		if !a.poisoned && a.chain.check(m, model, body, tag) {
+			if f.Seq != next {
 				// Chain-contiguous but sequence-discontiguous is impossible
 				// for an honest stream (seq is MAC'd); treat as corrupt.
-				return a.nextSeq - 1, proto.StatusError
+				return proto.StatusError
 			}
 		} else if a.chain.checkGenesis(m, model, body, tag) {
 			isReset = true
-			if f.Seq < a.nextSeq {
-				return a.nextSeq - 1, proto.StatusError
+			if f.Seq < next {
+				return proto.StatusError
 			}
+		} else if a.poisoned {
+			return proto.StatusError // still waiting for the bootstrap reset
+		} else if f.Seq > next {
+			return proto.StatusReplGap
 		} else {
-			if f.Seq > a.nextSeq {
-				return a.nextSeq - 1, proto.StatusReplGap
-			}
 			a.logf("repl: apply: chain break at seq %d", f.Seq)
-			return a.nextSeq - 1, proto.StatusError
+			return proto.StatusError
 		}
 		rec, err := a.enclave.Unseal(m, blob)
 		if err != nil {
 			a.logf("repl: apply: unseal failed at seq %d: %v", f.Seq, err)
-			return a.nextSeq - 1, proto.StatusError
+			return proto.StatusError
 		}
 		if err := decodeRecord(f, rec); err != nil {
 			a.logf("repl: apply: bad record at seq %d: %v", f.Seq, err)
-			return a.nextSeq - 1, proto.StatusError
+			return proto.StatusError
 		}
 		if isReset != (f.Kind == FrameReset) {
 			// A genesis-MAC'd frame must BE a reset and vice versa.
-			return a.nextSeq - 1, proto.StatusError
+			return proto.StatusError
 		}
 		if f.Kind == FrameReset {
+			// The wipe below supersedes whatever the queued ops leave
+			// behind, a refusal included.
+			a.applyPending(m)
 			if f.Epoch > a.epoch {
 				a.epoch = f.Epoch
 			}
 			a.resetParts()
+			a.poisoned = false
 			a.nextSeq = f.Seq + 1
+			next = a.nextSeq
 			m.Count(sim.CtrReplApplied)
 			a.sealState()
 			continue
 		}
-		if err := a.applyFrame(m, f); err != nil {
-			// The frame verified but the engine refused it (e.g. the target
-			// partition is mid-rebuild). Rewind the chain? No — the chain
-			// advanced, so a blind retry would fail verification. Force a
-			// re-sync instead: cheaper than a poisoned stream.
-			a.logf("repl: apply: engine refused seq %d: %v", f.Seq, err)
-			return a.nextSeq - 1, proto.StatusError
-		}
-		a.nextSeq = f.Seq + 1
-		m.Count(sim.CtrReplApplied)
-		a.sinceSeal++
-		if a.sinceSeal >= sealEvery {
-			a.sealState()
+		// The record buffer is freshly unsealed per frame, so the queued
+		// op may keep aliasing its key and value.
+		a.ops = append(a.ops, core.BatchOp{Kind: batchKind(f.Kind), Key: f.Key, Value: f.Val, Delta: f.Delta})
+		a.seqs = append(a.seqs, f.Seq)
+		next = f.Seq + 1
+		if len(a.ops) == applyChunk && !a.applyPending(m) {
+			return proto.StatusError
 		}
 	}
-	return a.nextSeq - 1, proto.StatusOK
+	return proto.StatusOK
 }
 
-// applyFrame replays one verified mutation through the partition worker
-// that owns its key — strictly sequentially, so a mid-payload failure
-// never leaves later frames applied before earlier ones.
-func (a *Applier) applyFrame(m *sim.Meter, f *Frame) error {
-	kind := batchKind(f.Kind)
-	_, _, err := a.p.Submit(m, kind, f.Key, f.Val, f.Delta).Wait()
-	if kind == core.BatchDelete && errors.Is(err, core.ErrNotFound) {
+// applyPending applies the queued verified mutations as one batch through
+// the partition workers and advances the watermark over them. SubmitBatch
+// keeps submission order within a partition and ApplyBatchInto within a
+// bucket set, so every key sees its mutations in stream order.
+//
+// If the engine refuses an op (e.g. the target partition is quarantined),
+// ops of later frames on other partitions may already have run, so the
+// replica's state is no longer a prefix of the stream: wipe every
+// partition, pull the watermark back to the last frame before the refused
+// one, and poison the stream — every non-reset frame now fails until the
+// shipper's bootstrap reset arrives. The chain cannot be rewound past the
+// refused frame, so a blind resend could never verify anyway. Reports
+// whether every queued op applied.
+func (a *Applier) applyPending(m *sim.Meter) bool {
+	if len(a.ops) == 0 {
+		return true
+	}
+	rs := a.p.SubmitBatch(m, a.ops).Wait()
+	applied := len(rs)
+	for i, r := range rs {
 		// Deleting an absent key replays cleanly (e.g. after a bootstrap
 		// snapshot raced a delete the stream then repeats).
-		return nil
+		if r.Err != nil && !(a.ops[i].Kind == core.BatchDelete && errors.Is(r.Err, core.ErrNotFound)) {
+			a.logf("repl: apply: engine refused seq %d: %v", a.seqs[i], r.Err)
+			applied = i
+			break
+		}
 	}
-	return err
+	ok := applied == len(rs)
+	if ok {
+		a.nextSeq = a.seqs[applied-1] + 1
+	} else {
+		a.nextSeq = a.seqs[applied]
+		a.resetParts()
+		a.poisoned = true
+	}
+	for range applied {
+		m.Count(sim.CtrReplApplied)
+	}
+	a.sinceSeal += applied
+	clear(a.ops)
+	a.ops, a.seqs = a.ops[:0], a.seqs[:0]
+	if a.sinceSeal >= sealEvery {
+		a.sealState()
+	}
+	return ok
 }
 
 // resetParts wipes every partition to an empty store with the same

@@ -28,6 +28,17 @@ type replicaNode struct {
 
 func startReplicaNode(t *testing.T, seed uint64) *replicaNode {
 	t.Helper()
+	return startReplicaNodeHooked(t, seed, nil)
+}
+
+// replicateFunc is the server's CmdReplicate hook (Applier.Apply).
+type replicateFunc = func(m *sim.Meter, payload []byte) (uint64, uint8)
+
+// startReplicaNodeHooked is startReplicaNode with the server's replicate
+// hook wrapped by wrap (nil: the applier's Apply as is) — how tests slow,
+// gate or count the replica's side of the link.
+func startReplicaNodeHooked(t *testing.T, seed uint64, wrap func(replicateFunc) replicateFunc) *replicaNode {
+	t.Helper()
 	e := testEnclave(seed)
 	p := core.NewPartitioned(e, 2, core.Defaults(64))
 	a, err := NewApplier(p, ApplierOptions{Logf: t.Logf})
@@ -40,12 +51,16 @@ func startReplicaNode(t *testing.T, seed uint64) *replicaNode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	apply := replicateFunc(a.Apply)
+	if wrap != nil {
+		apply = wrap(apply)
+	}
 	srv := server.Serve(ln, server.Config{
 		Engine:       server.CoreEngine{P: p},
 		Enclave:      e,
 		Logf:         t.Logf,
 		DrainTimeout: 100 * time.Millisecond,
-		Replicate:    a.Apply,
+		Replicate:    apply,
 		Promote:      a.Promote,
 		Writable:     a.Writable,
 	})
@@ -57,8 +72,14 @@ func startReplicaNode(t *testing.T, seed uint64) *replicaNode {
 // shipper at rep.addr, with the given fault plane on the link.
 func startPrimaryPool(t *testing.T, seed uint64, addr string, faults *fault.Plane) (*core.Partitioned, *Shipper, *sim.Meter) {
 	t.Helper()
+	return startPrimaryPoolN(t, seed, addr, faults, 2)
+}
+
+// startPrimaryPoolN is startPrimaryPool with parts partitions.
+func startPrimaryPoolN(t *testing.T, seed uint64, addr string, faults *fault.Plane, parts int) (*core.Partitioned, *Shipper, *sim.Meter) {
+	t.Helper()
 	e := testEnclave(seed)
-	p := core.NewPartitioned(e, 2, core.Defaults(64))
+	p := core.NewPartitioned(e, parts, core.Defaults(64))
 	s := NewShipper(p, ShipperOptions{
 		Addr:   addr,
 		Link:   client.Options{},

@@ -6,9 +6,12 @@
 package repl
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"shieldstore/internal/core"
+	"shieldstore/internal/fault"
 	"shieldstore/internal/proto"
 	"shieldstore/internal/sgx"
 	"shieldstore/internal/sim"
@@ -52,8 +55,14 @@ func concat(frames ...[]byte) []byte {
 // applier, sharing sealing identity with seed.
 func newTestApplier(t *testing.T, seed uint64, dir string) (*core.Partitioned, *Applier, *sim.Meter) {
 	t.Helper()
+	return newTestApplierOpts(t, seed, dir, core.Defaults(64))
+}
+
+// newTestApplierOpts is newTestApplier with explicit store options.
+func newTestApplierOpts(t *testing.T, seed uint64, dir string, opts core.Options) (*core.Partitioned, *Applier, *sim.Meter) {
+	t.Helper()
 	e := testEnclave(seed)
-	p := core.NewPartitioned(e, 2, core.Defaults(64))
+	p := core.NewPartitioned(e, 2, opts)
 	a, err := NewApplier(p, ApplierOptions{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -271,4 +280,127 @@ func TestApplierPromotionSurvivesRestart(t *testing.T) {
 	if _, st := a2.Apply(m2, s.frame(FrameSet, "k", "v", 0)); st != proto.StatusFenced {
 		t.Fatalf("stale stream after restart: status %d, want Fenced", st)
 	}
+}
+
+// TestApplierBatchKeepsPerKeyOrder replays order-sensitive runs
+// (Append, Incr, Set resets, Deletes) interleaved over keys on both
+// replica partitions, in payloads that span several apply batches: every
+// key must end exactly as a strictly sequential replay leaves it.
+func TestApplierBatchKeepsPerKeyOrder(t *testing.T) {
+	s := newTestSender(9)
+	p, a, m := newTestApplier(t, 9, "")
+
+	var keys []string
+	seen := map[int]int{}
+	for i := 0; len(keys) < 8; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if part := p.Route(m, []byte(k)); seen[part] < 4 {
+			seen[part]++
+			keys = append(keys, k)
+		}
+	}
+	want := map[string]string{}
+	var frames [][]byte
+	for i := 0; i < 2*applyChunk+37; i++ {
+		k := keys[i%len(keys)]
+		text, ctr := "s"+k, "n"+k
+		switch i % 11 {
+		case 3:
+			frames = append(frames, s.frame(FrameSet, text, "<", 0))
+			want[text] = "<"
+		case 7:
+			frames = append(frames, s.frame(FrameDelete, text, "", 0))
+			delete(want, text)
+		case 9:
+			frames = append(frames, s.frame(FrameSet, ctr, "1000", 0))
+			want[ctr] = "1000"
+		case 0, 2, 5:
+			n, _ := strconv.ParseInt(want[ctr], 10, 64)
+			frames = append(frames, s.frame(FrameIncr, ctr, "", int64(i)))
+			want[ctr] = strconv.FormatInt(n+int64(i), 10)
+		default:
+			d := strconv.Itoa(i % 10)
+			frames = append(frames, s.frame(FrameAppend, text, d, 0))
+			want[text] += d
+		}
+	}
+	split := applyChunk + 11
+	if wm, st := a.Apply(m, concat(frames[:split]...)); st != proto.StatusOK || wm != uint64(split) {
+		t.Fatalf("first Apply = (%d, %d), want (%d, OK)", wm, st, split)
+	}
+	if wm, st := a.Apply(m, concat(frames...)); st != proto.StatusOK || wm != uint64(len(frames)) {
+		t.Fatalf("second Apply = (%d, %d), want (%d, OK)", wm, st, len(frames))
+	}
+	for k, v := range want {
+		mustGet(t, p, m, k, v)
+	}
+	if got := int(p.Keys()); got != len(want) {
+		t.Fatalf("replica holds %d keys, want %d", got, len(want))
+	}
+	if got := m.Events(sim.CtrReplApplied); got != uint64(len(frames)) {
+		t.Fatalf("CtrReplApplied = %d, want %d", got, len(frames))
+	}
+}
+
+// TestApplierRefusalKeepsPrefix quarantines one replica partition so it
+// refuses a mutation in the middle of a payload whose later frames land
+// on the other partition. The replica may not keep that non-prefix
+// state: it wipes, reports the watermark before the refused frame, and
+// answers StatusError to everything but the bootstrap reset.
+func TestApplierRefusalKeepsPrefix(t *testing.T) {
+	opts := core.Defaults(64)
+	opts.Quarantine = true
+	s := newTestSender(9)
+	p, a, m := newTestApplierOpts(t, 9, "", opts)
+
+	keys := map[int][]string{}
+	for i := 0; len(keys[0]) < 2 || len(keys[1]) < 1; i++ {
+		k := fmt.Sprintf("q%d", i)
+		part := p.Route(m, []byte(k))
+		keys[part] = append(keys[part], k)
+	}
+	victim := keys[1][0]
+	if wm, st := a.Apply(m, s.frame(FrameSet, victim, "v1", 0)); st != proto.StatusOK || wm != 1 {
+		t.Fatalf("seed Apply = (%d, %d)", wm, st)
+	}
+	// The host splices the victim's bucket chain: the next mutation there
+	// fails verification and latches partition 1's quarantine.
+	plane := fault.New(1)
+	plane.Arm(fault.PointChainSplice, fault.Spec{})
+	p.RunCtl(1, func(st *core.WorkerState) { st.Store.SetFaultPlane(plane) })
+
+	f2 := s.frame(FrameSet, keys[0][0], "a", 0)
+	f3 := s.frame(FrameSet, victim, "v2", 0)
+	f4 := s.frame(FrameSet, keys[0][1], "b", 0)
+	wm, st := a.Apply(m, concat(f2, f3, f4))
+	if st != proto.StatusError || wm != 2 {
+		t.Fatalf("refused Apply = (%d, %d), want (2, Error)", wm, st)
+	}
+	if plane.TotalFired() == 0 {
+		t.Fatal("the splice never fired")
+	}
+	if n := p.Keys(); n != 0 {
+		t.Fatalf("replica kept %d keys of a non-prefix state, want a wipe", n)
+	}
+	// Poisoned: a continuation, a resend of the applied prefix, anything
+	// but a reset is refused.
+	f5 := s.frame(FrameSet, keys[0][0], "c", 0)
+	for name, payload := range map[string][]byte{"continuation": f5, "resend": concat(f2, f3, f4, f5)} {
+		if wm, st := a.Apply(m, payload); st != proto.StatusError || wm != 2 {
+			t.Fatalf("%s after refusal = (%d, %d), want (2, Error)", name, wm, st)
+		}
+	}
+	if n := p.Keys(); n != 0 {
+		t.Fatalf("poisoned replica applied frames: %d keys", n)
+	}
+	// The shipper's bootstrap heals it.
+	wm, st = a.Apply(m, concat(s.reset(), s.frame(FrameSet, victim, "snap", 0)))
+	if st != proto.StatusOK || wm != s.seq {
+		t.Fatalf("bootstrap Apply = (%d, %d), want (%d, OK)", wm, st, s.seq)
+	}
+	mustGet(t, p, m, victim, "snap")
+	if wm, st := a.Apply(m, s.frame(FrameAppend, victim, "+", 0)); st != proto.StatusOK || wm != s.seq {
+		t.Fatalf("post-bootstrap Apply = (%d, %d)", wm, st)
+	}
+	mustGet(t, p, m, victim, "snap+")
 }

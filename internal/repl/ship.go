@@ -1,7 +1,9 @@
 // The primary side of replication: the Shipper tees every journaled
 // mutation into a sealed, MAC-chained frame stream and ships it to the
 // replica inside the worker pool's group commit — before any client
-// acknowledgement — so a client ack always implies a replica ack.
+// acknowledgement — so a client ack always implies a replica ack. The
+// commits of a shard's partition workers share flushes: one payload on
+// the wire at a time carries every frame buffered when it left.
 package repl
 
 import (
@@ -60,10 +62,13 @@ type shipFrame struct {
 // group commit does the rest: enqueue on journal, flush+ack on Commit.
 //
 // All mutable state is under mu; partition workers (enqueue/Commit) and
-// the bootstrap goroutine serialize on it. Commit holds mu across the
-// network flush — the price of the group-commit guarantee — so a wedged
-// replica link stalls that partition's acknowledgements rather than
-// acking writes the replica never saw.
+// the bootstrap goroutine serialize on it, but never across the network:
+// the flush leader releases mu for the dial and the Replicate round trip.
+// At most one flush is in flight (flushing); a Commit whose frames are
+// still unacked waits for it and leads the next one if that flush did
+// not carry them. A wedged replica link therefore stalls the
+// acknowledgements of every partition with unacked frames rather than
+// acking writes the replica never saw, while enqueue keeps appending.
 type Shipper struct {
 	p       *core.Partitioned
 	enclave *sgx.Enclave
@@ -75,6 +80,14 @@ type Shipper struct {
 	seq   uint64 // last assigned frame sequence
 	acked uint64 // replica's durable watermark
 	buf   []shipFrame
+
+	// flushing marks a flush in flight (its leader owns conn and ships
+	// with mu released); flushed is signalled when it ends. gen counts
+	// stream resets: a reply to a payload sent before a reset is stale
+	// and must not trim the new buffer or judge the link.
+	flushing bool
+	flushed  sync.Cond
+	gen      uint64
 
 	conn      *client.Client
 	down      bool
@@ -110,7 +123,7 @@ func NewShipper(p *core.Partitioned, opts ShipperOptions) *Shipper {
 	if opts.MaxBackoff == 0 {
 		opts.MaxBackoff = time.Second
 	}
-	return &Shipper{
+	s := &Shipper{
 		p:        p,
 		enclave:  p.Enclave(),
 		opts:     opts,
@@ -121,14 +134,17 @@ func NewShipper(p *core.Partitioned, opts ShipperOptions) *Shipper {
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	s.flushed.L = &s.mu
+	return s
 }
 
 // Start launches the bootstrap worker. Call after Partitioned.Start.
 func (s *Shipper) Start() { go s.bootstrapLoop() }
 
-// Close stops the bootstrap worker and drops the link. Buffered frames
-// are abandoned (the replica re-syncs from whoever ships next). Call
-// before Partitioned.Stop — the bootstrap worker uses RunCtl.
+// Close stops the bootstrap worker and drops the link once any in-flight
+// flush has returned. Buffered frames are abandoned (the replica re-syncs
+// from whoever ships next). Call before Partitioned.Stop — the bootstrap
+// worker uses RunCtl.
 func (s *Shipper) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -140,6 +156,7 @@ func (s *Shipper) Close() {
 	close(s.quit)
 	<-s.done
 	s.mu.Lock()
+	s.waitFlushLocked()
 	if s.conn != nil {
 		s.conn.Close()
 		s.conn = nil
@@ -156,11 +173,13 @@ func (s *Shipper) Tee(part int, inner core.Journal) core.GroupJournal {
 	return &tee{s: s, part: uint16(part), inner: inner}
 }
 
-// tee is the per-partition core.GroupJournal adapter.
+// tee is the per-partition core.GroupJournal adapter. Only the owning
+// partition worker calls it, so last needs no lock.
 type tee struct {
 	s     *Shipper
 	part  uint16
 	inner core.Journal
+	last  uint64 // highest sequence this partition enqueued
 }
 
 // LogOp enqueues the mutation's replication frame, then forwards to the
@@ -168,32 +187,37 @@ type tee struct {
 // when the local WAL dies (and the partition flags JournalLost) the
 // mutation still reaches the replica this shard will fail over to.
 func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta int64) error {
-	t.s.enqueue(m, t.part, frameKind(kind), key, value, delta)
+	if seq := t.s.enqueue(m, t.part, frameKind(kind), key, value, delta); seq != 0 {
+		t.last = seq
+	}
 	if t.inner == nil {
 		return nil
 	}
 	return t.inner.LogOp(m, kind, key, value, delta)
 }
 
-// Commit is the group-commit barrier: flush every buffered frame and
-// return only once the replica acked them (or the failure was absorbed
-// into a buffered/bootstrap state that keeps the single-failure
-// guarantee). A Fenced shipper fails the commit — the mutations of this
-// drain are retracted, because a promoted replica will never count them.
-func (t *tee) Commit(m *sim.Meter) error { return t.s.commit(m) }
+// Commit is the group-commit barrier: return only once the replica acked
+// every frame this partition enqueued — whichever partition's flush
+// carried them — or the failure was absorbed into a buffered/bootstrap
+// state that keeps the single-failure guarantee. A Fenced shipper fails
+// the commit — the mutations of this drain are retracted, because a
+// promoted replica will never count them.
+func (t *tee) Commit(m *sim.Meter) error { return t.s.commit(m, t.last) }
 
 // enqueue assigns the next sequence number, seals and chain-signs the
-// frame, and appends it to the unacked buffer.
-func (s *Shipper) enqueue(m *sim.Meter, part uint16, kind byte, key, value []byte, delta int64) {
+// frame, and appends it to the unacked buffer. It returns the frame's
+// sequence (0 when the stream takes no frames: closed or fenced). It
+// never waits on the network: an in-flight flush runs with mu released.
+func (s *Shipper) enqueue(m *sim.Meter, part uint16, kind byte, key, value []byte, delta int64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.fenced {
-		return
+		return 0
 	}
 	// While the link is down and no bootstrap is running, a full buffer
 	// tips over into bootstrap mode: drop the tail, re-sync from snapshot.
 	if s.down && !s.bootstrapping && !s.needsBootstrap && len(s.buf) >= s.opts.MaxBuffer {
-		s.buf = s.buf[:0]
+		s.resetBufLocked()
 		s.needsBootstrap = true
 		s.wake()
 		s.logf("repl: unacked buffer overflow, scheduling bootstrap")
@@ -201,26 +225,33 @@ func (s *Shipper) enqueue(m *sim.Meter, part uint16, kind byte, key, value []byt
 	s.seq++
 	rec := appendRecord(nil, kind, key, value, delta)
 	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, part, rec)})
+	return s.seq
 }
 
-// commit implements the group-commit barrier (see tee.Commit).
-func (s *Shipper) commit(m *sim.Meter) error {
+// commit implements the group-commit barrier (see tee.Commit) for a
+// partition whose last enqueued frame is upto.
+func (s *Shipper) commit(m *sim.Meter, upto uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
+	for {
+		switch {
+		case s.closed:
+			return nil
+		case s.fenced:
+			return core.ErrFenced
+		case s.needsBootstrap || s.bootstrapping:
+			s.wake()
+			return nil
+		case s.acked >= upto:
+			return nil // an earlier flush already carried this partition's frames
+		case s.flushing:
+			s.flushed.Wait() // then re-judge: that flush may have carried ours
+		case s.down && time.Now().Before(s.downUntil):
+			return nil // buffering through the outage
+		default:
+			return s.leadFlushLocked(m)
+		}
 	}
-	if s.fenced {
-		return core.ErrFenced
-	}
-	if s.needsBootstrap || s.bootstrapping {
-		s.wake()
-		return nil
-	}
-	if s.down && time.Now().Before(s.downUntil) {
-		return nil // buffering through the outage
-	}
-	return s.flushLocked(m)
 }
 
 // wake pokes the bootstrap worker (non-blocking; the channel latches).
@@ -237,15 +268,43 @@ func (s *Shipper) logf(format string, args ...any) {
 	}
 }
 
-// flushLocked ships the unacked buffer in MaxBatchBytes chunks until it
-// drains or the link degrades. Caller holds mu. Transport failures and
-// re-syncable server states return nil (the frames stay buffered or a
-// bootstrap is scheduled); only fencing is a hard error.
+// waitFlushLocked blocks until no flush is in flight. Caller holds mu.
+func (s *Shipper) waitFlushLocked() {
+	for s.flushing {
+		s.flushed.Wait()
+	}
+}
+
+// flushLocked waits out any in-flight flush, then leads one that ships
+// everything buffered, unless a bootstrap is pending or running. Caller
+// holds mu.
+func (s *Shipper) flushLocked(m *sim.Meter) error {
+	s.waitFlushLocked()
+	if s.closed || s.needsBootstrap || s.bootstrapping {
+		return nil // the bootstrap worker ships the re-synced stream
+	}
+	return s.leadFlushLocked(m)
+}
+
+// leadFlushLocked ships the unacked buffer in MaxBatchBytes chunks until
+// every frame assigned when it started is acked, or the link degrades.
+// Caller holds mu and no flush is in flight; mu is released around the
+// dial and each round trip, so partitions keep enqueueing (their frames
+// ride in the next chunk this leader builds, or in the next flush).
+// Transport failures and re-syncable server states return nil (the
+// frames stay buffered or a bootstrap is scheduled); only fencing is a
+// hard error.
 //
 //ss:ocall — shipping crosses the enclave boundary per payload.
-func (s *Shipper) flushLocked(m *sim.Meter) error {
+func (s *Shipper) leadFlushLocked(m *sim.Meter) error {
+	s.flushing = true
+	defer func() {
+		s.flushing = false
+		s.flushed.Broadcast()
+	}()
+	target := s.seq
 	gapRetries := 0
-	for len(s.buf) > 0 {
+	for len(s.buf) > 0 && s.acked < target && !s.closed {
 		if s.conn == nil && !s.redialLocked() {
 			return nil
 		}
@@ -253,9 +312,23 @@ func (s *Shipper) flushLocked(m *sim.Meter) error {
 		s.enclave.Syscall(m, true)
 		m.Charge(s.enclave.Model().NIC(len(payload)))
 		m.Count(sim.CtrNetMessage)
-		status, watermark, err := s.conn.Replicate(payload)
+		conn, gen := s.conn, s.gen
+		s.mu.Unlock()
+		status, watermark, err := conn.Replicate(payload)
+		s.mu.Lock()
+		if gen != s.gen {
+			// The stream was reset (buffer overflow, a scheduled re-sync)
+			// while the payload was on the wire: the reply speaks for frames
+			// that are no longer buffered. Keep the link unless it failed;
+			// the next flush ships the new stream.
+			if err != nil {
+				conn.Close()
+				s.conn = nil
+			}
+			return nil
+		}
 		if err != nil {
-			s.conn.Close()
+			conn.Close()
 			s.conn = nil
 			s.markDown()
 			s.logf("repl: ship to %s failed: %v", s.opts.Addr, err)
@@ -296,7 +369,11 @@ func (s *Shipper) flushLocked(m *sim.Meter) error {
 		for trimmed < len(s.buf) && s.buf[trimmed].seq <= s.acked {
 			trimmed++
 		}
-		s.buf = s.buf[trimmed:]
+		// Compact rather than re-slice: the shipped frames' bytes must not
+		// stay reachable through the backing array.
+		n := copy(s.buf, s.buf[trimmed:])
+		clear(s.buf[n:])
+		s.buf = s.buf[:n]
 		for i := 0; i < trimmed; i++ {
 			m.Count(sim.CtrReplShipped)
 		}
@@ -375,7 +452,8 @@ func (s *Shipper) injectLinkFaults(frames [][]byte) [][]byte {
 }
 
 // redialLocked attempts to (re)establish the replica link, honoring the
-// capped, jittered backoff window. Caller holds mu.
+// capped, jittered backoff window. Caller holds mu and leads the flush;
+// mu is released for the dial itself.
 //
 //ss:ocall — dialing is a host crossing.
 func (s *Shipper) redialLocked() bool {
@@ -384,7 +462,10 @@ func (s *Shipper) redialLocked() bool {
 		return false
 	}
 	s.enclave.Syscall(s.meter, false)
-	c, err := client.Dial(s.opts.Addr, s.opts.Link)
+	addr, link := s.opts.Addr, s.opts.Link
+	s.mu.Unlock()
+	c, err := client.Dial(addr, link)
+	s.mu.Lock()
 	if err != nil {
 		s.markDown()
 		return false
@@ -411,22 +492,33 @@ func (s *Shipper) markDown() {
 	s.downUntil = time.Now().Add(s.backoff + jitter)
 }
 
+// resetBufLocked abandons every buffered frame and starts a new stream
+// generation, so a reply still on the wire cannot act on the new buffer.
+// Caller holds mu.
+func (s *Shipper) resetBufLocked() {
+	clear(s.buf)
+	s.buf = s.buf[:0]
+	s.gen++
+}
+
 // scheduleBootstrapLocked abandons the stream state and queues a full
 // re-sync. Caller holds mu.
 func (s *Shipper) scheduleBootstrapLocked(why string) {
-	s.buf = s.buf[:0]
+	s.resetBufLocked()
 	s.needsBootstrap = true
 	s.wake()
 	s.logf("repl: scheduling bootstrap: %s", why)
 }
 
 // MigrateTo retargets the stream at a new (typically empty) node and
-// schedules a full bootstrap — phase one of a live shard migration. The
-// caller then waits for Synced and performs the cutover (promote + ring
-// swap) on the cluster client.
+// schedules a full bootstrap — phase one of a live shard migration. It
+// waits for an in-flight flush to the old target before dropping that
+// link. The caller then waits for Synced and performs the cutover
+// (promote + ring swap) on the cluster client.
 func (s *Shipper) MigrateTo(addr string, link client.Options) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitFlushLocked()
 	if s.conn != nil {
 		s.conn.Close()
 		s.conn = nil
@@ -522,11 +614,11 @@ func (s *Shipper) Meter() *sim.Meter { return s.meter }
 // partition, on that partition's own worker via RunCtl, snapshot every
 // live entry into Set frames — the worker is parked for exactly its own
 // partition's scan, so per-key mutation order is preserved and siblings
-// keep serving; (3) flush everything and hand the stream back to the
-// commit path. Runs on its own goroutine: a Commit that finds bootstrap
-// pending just pokes this loop and returns (a bounded degraded window),
-// because snapshotting from inside a worker's commit would deadlock the
-// pool.
+// keep serving; (3) flush everything (once any in-flight flush has
+// returned) and hand the stream back to the commit path. Runs on its own
+// goroutine: a Commit that finds bootstrap pending just pokes this loop
+// and returns (a bounded degraded window), because snapshotting from
+// inside a worker's commit would deadlock the pool.
 func (s *Shipper) bootstrapLoop() {
 	defer close(s.done)
 	for {
@@ -536,13 +628,17 @@ func (s *Shipper) bootstrapLoop() {
 		case <-s.bootWake:
 		}
 		s.mu.Lock()
+		// The snapshot charges s.meter outside mu, as a flush leader's dial
+		// and fault injection do under it: let any in-flight flush return
+		// first (commits and flushLocked start none while bootstrapping).
+		s.waitFlushLocked()
 		if s.closed || !s.needsBootstrap {
 			s.mu.Unlock()
 			continue
 		}
 		s.needsBootstrap = false
 		s.bootstrapping = true
-		s.buf = s.buf[:0]
+		s.resetBufLocked()
 		s.chain.reset()
 		s.seq++
 		s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(s.meter, s.enclave, s.chain, s.seq, s.opts.Epoch, 0, appendRecord(nil, FrameReset, nil, nil, 0))})

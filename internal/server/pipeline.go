@@ -47,12 +47,22 @@ var pendingPool = sync.Pool{New: func() any { return new(pending) }}
 
 // framePool recycles per-request frame buffers. Holding *[]byte keeps
 // Put allocation-free; the pooled capacity grows to the workload's frame
-// size.
+// size, up to proto.MaxKeptScratch (putFrame).
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
 		return &b
 	},
+}
+
+// putFrame recycles a frame buffer, unless it grew past
+// proto.MaxKeptScratch: the pool must not keep a rare huge frame (a
+// replication bootstrap chunk, a large batch) alive.
+func putFrame(fp *[]byte) {
+	if cap(*fp) > proto.MaxKeptScratch {
+		return
+	}
+	framePool.Put(fp)
 }
 
 // connReader reads, decrypts and decodes frames, hands each request to
@@ -90,7 +100,7 @@ func (s *Server) connReader(conn net.Conn, ch *proto.Channel, wq chan<- *pending
 		fp := framePool.Get().(*[]byte)
 		frame, err := proto.ReadFramePayloadInto(br, n, (*fp)[:0])
 		if err != nil {
-			framePool.Put(fp)
+			putFrame(fp)
 			return err
 		}
 		*fp = frame
@@ -99,7 +109,7 @@ func (s *Server) connReader(conn net.Conn, ch *proto.Channel, wq chan<- *pending
 		if ch != nil {
 			payload, err = ch.OpenInPlace(frame)
 			if err != nil {
-				framePool.Put(fp)
+				putFrame(fp)
 				return err
 			}
 			m.Charge(model.AES(len(frame)) + model.CMAC(len(frame)))
@@ -327,7 +337,7 @@ func (s *Server) batchResponse(ops []core.BatchOp, rs []core.BatchResult, sc *wr
 // bytes past this point.
 func releasePending(pd *pending) {
 	if pd.fp != nil {
-		framePool.Put(pd.fp)
+		putFrame(pd.fp)
 		pd.fp = nil
 	}
 	pd.call, pd.bcall = nil, nil
