@@ -1,19 +1,22 @@
 // Batched operation execution with amortized bucket-set integrity
-// updates.
+// updates — the store's one execution path.
 //
-// A single-op request pays the full §4.3 integrity protocol: gather the
+// Every key operation runs the §4.3 integrity protocol: gather the
 // bucket set's MAC list, verify it against the in-enclave MAC hash,
 // apply the op, recompute and store the hash. ApplyBatch groups a batch's
 // ops by bucket set and runs that protocol once per *touched set* instead
 // of once per op: one collection, one verification, N applications
-// against the verified in-enclave view, one hash recompute. For skewed
-// workloads — where most ops land in a few hot sets — the dominant
+// against the verified in-enclave view, one hash recompute. A single op
+// (Store.Get/Set/...) is a batch of one and pays the protocol once. For
+// skewed workloads — where most ops land in a few hot sets — the dominant
 // CMAC-over-set cost is amortized N-fold with an unchanged guarantee
 // (see DESIGN.md, "Batch amortization").
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"shieldstore/internal/sim"
 )
@@ -51,10 +54,14 @@ type BatchResult struct {
 	Err error
 }
 
-// batchPos ties an op's submission index to its resolved bucket.
+// batchPos ties an op's submission index to its resolved bucket and
+// integrity group. first is the submission index of the group's first op
+// (its first touch), filled in by groupOrder.
 type batchPos struct {
 	idx    int
 	bucket int
+	group  int
+	first  int
 }
 
 // setGroupID returns the integrity-group key of bucket b: with the
@@ -83,22 +90,31 @@ func (s *Store) ApplyBatch(m *sim.Meter, ops []BatchOp) []BatchResult {
 }
 
 // ApplyBatchInto is ApplyBatch writing into a caller-provided results
-// slice (len(results) must equal len(ops), zero-valued). Worker drains
-// reuse one results buffer across wakeups through this entry point.
+// slice (len(results) must equal len(ops), zero-valued). It is the only
+// way the store executes a key operation: the single-op entry points run
+// a batch of one through it, and worker drains reuse one results buffer
+// across wakeups through it.
+//
+// A quarantined partition refuses the whole batch before charging
+// anything; a latch that trips mid-batch fails the groups not yet run.
 //
 //ss:attacker — batch ops arrive from the wire.
 func (s *Store) ApplyBatchInto(m *sim.Meter, ops []BatchOp, results []BatchResult) {
 	if len(ops) == 0 {
 		return
 	}
+	if err := s.guard(); err != nil {
+		for i := range ops {
+			results[i].Err = err
+		}
+		return
+	}
 	m.Charge(s.model.RequestOverhead)
 	m.Count(sim.CtrRequest)
 
 	// Resolve plaintext-cache hits up front — they need no integrity work
-	// — and group the rest by bucket set, preserving submission order
-	// within each group.
-	groups := make(map[int][]batchPos)
-	var order []int
+	// — and queue the rest with their bucket set.
+	pend := s.batchPend[:0]
 	for i := range ops {
 		op := &ops[i]
 		b := s.bucketOf(m, op.Key)
@@ -108,24 +124,54 @@ func (s *Store) ApplyBatchInto(m *sim.Meter, ops []BatchOp, results []BatchResul
 				continue
 			}
 		}
-		id := s.setGroupID(b)
-		if _, seen := groups[id]; !seen {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], batchPos{idx: i, bucket: b})
+		pend = append(pend, batchPos{idx: i, bucket: b, group: s.setGroupID(b)})
 	}
-	for _, id := range order {
+	groupOrder(pend)
+	for start := 0; start < len(pend); {
+		end := start + 1
+		for end < len(pend) && pend[end].group == pend[start].group {
+			end++
+		}
+		group := pend[start:end]
+		start = end
 		if gerr := s.guard(); gerr != nil {
-			// The partition isolated itself (either before this batch or
-			// from an earlier group in it): fail the remaining groups fast,
-			// with the retryable ErrRebuilding when a rebuild is in flight.
-			for _, g := range groups[id] {
+			// An earlier group in this batch tripped the latch: fail the
+			// remaining groups fast, with the retryable ErrRebuilding when
+			// a rebuild is in flight.
+			for _, g := range group {
 				results[g.idx].Err = gerr
 			}
 			continue
 		}
-		s.applySetGroup(m, groups[id], ops, results)
+		s.applySetGroup(m, group, ops, results)
 	}
+	if cap(pend) > maxKeptOps {
+		pend = nil
+	}
+	s.batchPend = pend[:0]
+}
+
+// groupOrder sorts pend into contiguous bucket-set groups, the groups in
+// first-touch order and each group's ops in submission order: the order
+// the set protocol runs them in.
+func groupOrder(pend []batchPos) {
+	if len(pend) < 2 {
+		return
+	}
+	slices.SortFunc(pend, func(a, b batchPos) int {
+		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.idx, b.idx))
+	})
+	for start := 0; start < len(pend); {
+		first := pend[start].idx
+		end := start
+		for ; end < len(pend) && pend[end].group == pend[start].group; end++ {
+			pend[end].first = first
+		}
+		start = end
+	}
+	slices.SortFunc(pend, func(a, b batchPos) int {
+		return cmp.Or(cmp.Compare(a.first, b.first), cmp.Compare(a.idx, b.idx))
+	})
 }
 
 // applySetGroup runs every op touching one bucket set: collect the set's
@@ -162,20 +208,11 @@ func (s *Store) applySetGroup(m *sim.Meter, group []batchPos, ops []BatchOp, res
 		switch op.Kind {
 		case BatchGet:
 			r.Val, r.Err = s.getInView(m, &v, g.bucket, op.Key)
-		case BatchSet:
-			val := op.Value
-			r.Err = s.mutateInView(m, &v, g.bucket, op.Key, false, func(_ []byte, _ bool) ([]byte, error) {
-				return val, nil
-			})
+		case BatchSet, BatchAppend, BatchIncr:
+			r.Num, r.Err = s.mutateInView(m, &v, g.bucket, op)
 			dirty = dirty || r.Err == nil
 		case BatchDelete:
 			r.Err = s.deleteInView(m, &v, g.bucket, op.Key)
-			dirty = dirty || r.Err == nil
-		case BatchAppend:
-			r.Err = s.mutateInView(m, &v, g.bucket, op.Key, true, appendMutator(op.Value))
-			dirty = dirty || r.Err == nil
-		case BatchIncr:
-			r.Err = s.mutateInView(m, &v, g.bucket, op.Key, true, incrMutator(op.Delta, &r.Num))
 			dirty = dirty || r.Err == nil
 		default:
 			r.Err = ErrBadBatchOp

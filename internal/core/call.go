@@ -1,8 +1,8 @@
 // Pooled call slots for the worker pool — the runtime-level analogue of
 // the paper's HotCalls front-end. The seed dispatch path allocated a
 // closure plus a fresh `done` channel for every operation and woke the
-// worker once per task; a Call is a reusable request slot (op kind,
-// key/value refs, result slots, recycled completion channel) handed to
+// worker once per task; a Call is a reusable request slot (a sub-batch
+// of ops, result slots, recycled completion channel) handed to
 // the partition worker over a plain channel, and workers drain their
 // queue in batches so one request-dispatch overhead covers a whole
 // wakeup (see DESIGN.md §9 "Exitless dispatch").
@@ -22,28 +22,18 @@ const drainBatch = 64
 // batch does not pin its size in every worker and pool slot.
 const maxKeptOps = 1024
 
-// Call is one in-flight operation against a partition worker. Calls are
+// Call is one in-flight sub-batch against a partition worker. Calls are
 // pooled: Submit/SubmitBatch take one from the pool, the worker fills the
 // result slots and signals done, and Wait recycles it. A Call must not be
 // touched after Wait returns.
 type Call struct {
-	op      BatchKind
-	isBatch bool
-	key     []byte
-	value   []byte
-	delta   int64
-
-	// Batch fields (isBatch): the per-partition sub-batch, the submission
-	// index of each sub-op, and the BatchCall's shared results slice
-	// (distinct partitions write disjoint slots).
+	// The per-partition sub-batch, the submission index of each sub-op,
+	// and the results slice they scatter into: a BatchCall's shared slice
+	// (distinct partitions write disjoint slots), or one for a Submit.
 	batch   []BatchOp
 	scatter []int
 	results []BatchResult
-
-	// Single-op result slots.
-	val []byte
-	num int64
-	err error
+	one     [1]BatchResult
 
 	// done is the recycled completion primitive: capacity 1, one send per
 	// execution, one receive per Wait.
@@ -59,9 +49,8 @@ func getCall() *Call { return callPool.Get().(*Call) }
 // putCall clears the slot's references (so pooled calls don't pin request
 // buffers) and returns it to the pool.
 func putCall(c *Call) {
-	c.key, c.value, c.val = nil, nil, nil
-	c.err = nil
 	c.results = nil
+	c.one = [1]BatchResult{}
 	if cap(c.batch) > maxKeptOps {
 		c.batch, c.scatter = nil, nil
 	} else {
@@ -72,29 +61,29 @@ func putCall(c *Call) {
 	callPool.Put(c)
 }
 
-// Submit enqueues one operation on key's partition worker and returns its
-// call slot. kind is one of the Batch* op kinds; value holds the Set
-// value or Append suffix, delta the Incr amount. The caller must keep key
-// and value alive and unmodified until Wait returns. Start must have been
-// called.
+// Submit enqueues one operation on key's partition worker, as a batch of
+// one, and returns its call slot. kind is one of the Batch* op kinds;
+// value holds the Set value or Append suffix, delta the Incr amount. The
+// caller must keep key and value alive and unmodified until Wait returns.
+// Start must have been called.
 //
 //ss:xpart — the dispatch plane routes into a partition's queue; the worker behind it owns the Store.
 func (p *Partitioned) Submit(routeM *sim.Meter, kind BatchKind, key, value []byte, delta int64) *Call {
 	c := getCall()
-	c.op = kind
-	c.isBatch = false
-	c.key, c.value, c.delta = key, value, delta
+	c.batch = append(c.batch, BatchOp{Kind: kind, Key: key, Value: value, Delta: delta})
+	c.scatter = append(c.scatter, 0)
+	c.results = c.one[:]
 	p.workers[p.Route(routeM, key)] <- c
 	return c
 }
 
 // Wait blocks until the call completes, recycles the slot, and returns
-// the result triple (value for Get, number for Incr, error).
+// the result triple (value for Get, number for Incr, error) of a Submit.
 func (c *Call) Wait() ([]byte, int64, error) {
 	<-c.done
-	val, num, err := c.val, c.num, c.err
+	r := c.one[0]
 	putCall(c)
-	return val, num, err
+	return r.Val, r.Num, r.Err
 }
 
 // BatchCall tracks a heterogeneous batch in flight across partitions: one
@@ -121,7 +110,6 @@ func (p *Partitioned) SubmitBatch(routeM *sim.Meter, ops []BatchOp) *BatchCall {
 		c := calls[part]
 		if c == nil {
 			c = getCall()
-			c.isBatch = true
 			c.results = bc.results
 			calls[part] = c
 		}
@@ -147,38 +135,23 @@ func (bc *BatchCall) Wait() []BatchResult {
 	return bc.results
 }
 
-// exec runs a single-op call through the Store's per-op entry points,
-// keeping the seed's per-op accounting for non-batched dispatch.
-func (c *Call) exec(s *Store, m *sim.Meter) {
-	switch c.op {
-	case BatchGet:
-		c.val, c.err = s.Get(m, c.key)
-	case BatchSet:
-		c.err = s.Set(m, c.key, c.value)
-	case BatchDelete:
-		c.err = s.Delete(m, c.key)
-	case BatchAppend:
-		c.err = s.Append(m, c.key, c.value)
-	case BatchIncr:
-		c.num, c.err = s.Incr(m, c.key, c.delta)
-	default:
-		c.err = ErrBadBatchOp
-	}
-}
-
 // journalOp logs one successfully applied mutation through the worker's
 // journal, in apply order, before the call is acknowledged. A journal
 // write failure never fails the client operation — the in-memory store is
-// intact — but the log is now incomplete: it is detached and the
-// partition flagged (JournalLost) so health reports it and auto-heal
-// refuses to rebuild from a log missing acknowledged writes.
+// intact — but the log is now incomplete: the partition is flagged
+// (JournalLost) so health reports it and auto-heal refuses to rebuild
+// from a log missing acknowledged writes. A plain Journal is detached; a
+// GroupJournal has dropped only its failed local log and stays attached,
+// so the drain still commits and later mutations still reach it.
 func journalOp(st *WorkerState, kind BatchKind, key, value []byte, delta int64) {
 	if st.Journal == nil {
 		return
 	}
 	if err := st.Journal.LogOp(st.Meter, kind, key, value, delta); err != nil {
-		st.Journal = nil
 		st.Store.noteJournalLost()
+		if _, group := st.Journal.(GroupJournal); !group {
+			st.Journal = nil
+		}
 	}
 }
 
@@ -198,34 +171,15 @@ func commitJournal(st *WorkerState, journaled bool) error {
 	return gj.Commit(st.Meter)
 }
 
-// runDrain executes one worker wakeup's worth of calls. A lone single-op
-// call goes through the per-op Store path (identical accounting to the
-// seed); everything else is combined into one ApplyBatch, so the whole
-// drain pays one request overhead and shares set verifies — the same
-// amortization ApplyBatch gives explicit batches, now applied to
-// concurrent single-op traffic. ops and rs are worker-local scratch,
-// returned so grown backings are kept.
+// runDrain executes one worker wakeup's worth of calls as one
+// ApplyBatch, so the whole drain pays one request overhead and shares set
+// verifies — the same amortization ApplyBatch gives explicit batches,
+// applied to concurrent single-op traffic. ops and rs are worker-local
+// scratch, returned so grown backings are kept.
 func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) ([]BatchOp, []BatchResult) {
-	s, m := st.Store, st.Meter
-	if len(calls) == 1 && !calls[0].isBatch {
-		c := calls[0]
-		c.exec(s, m)
-		if c.err == nil && c.op != BatchGet {
-			journalOp(st, c.op, c.key, c.value, c.delta)
-			if cerr := commitJournal(st, true); cerr != nil {
-				c.err = cerr
-			}
-		}
-		c.done <- struct{}{}
-		return ops, rs
-	}
 	ops = ops[:0]
 	for _, c := range calls {
-		if c.isBatch {
-			ops = append(ops, c.batch...)
-		} else {
-			ops = append(ops, BatchOp{Kind: c.op, Key: c.key, Value: c.value, Delta: c.delta})
-		}
+		ops = append(ops, c.batch...)
 	}
 	if cap(rs) < len(ops) {
 		rs = make([]BatchResult, len(ops))
@@ -233,7 +187,7 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 		rs = rs[:len(ops)]
 		clear(rs)
 	}
-	s.ApplyBatchInto(m, ops, rs)
+	st.Store.ApplyBatchInto(st.Meter, ops, rs)
 	journaled := false
 	for i := range ops {
 		if rs[i].Err == nil && ops[i].Kind != BatchGet {
@@ -250,15 +204,10 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 	}
 	pos := 0
 	for _, c := range calls {
-		if c.isBatch {
-			for j := range c.batch {
-				c.results[c.scatter[j]] = rs[pos+j]
-			}
-			pos += len(c.batch)
-		} else {
-			c.val, c.num, c.err = rs[pos].Val, rs[pos].Num, rs[pos].Err
-			pos++
+		for j := range c.batch {
+			c.results[c.scatter[j]] = rs[pos+j]
 		}
+		pos += len(c.batch)
 		c.done <- struct{}{}
 	}
 	if cap(ops) > maxKeptOps {

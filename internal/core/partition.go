@@ -74,7 +74,9 @@ type Journal interface {
 // ack" hold without a per-op network round trip). A Commit error fails
 // every mutation of the drain: the ops were applied locally, but the node
 // cannot vouch for them (e.g. it has been fenced out by a promoted
-// replica).
+// replica). A LogOp error reports that a local log under the group
+// journal failed: the journal drops that log itself and keeps taking and
+// committing records, so the worker flags JournalLost but keeps it.
 type GroupJournal interface {
 	Journal
 	Commit(m *sim.Meter) error
@@ -343,10 +345,9 @@ func (p *Partitioned) Start() {
 }
 
 // worker owns one partition. Each wakeup drains up to drainBatch pending
-// calls from the queue and executes the whole drain at once; beyond one
-// call, the drain is combined into a single ApplyBatch so the fixed
-// request overhead and the per-set integrity work are paid once per drain
-// instead of once per op.
+// calls from the queue and executes the whole drain as a single
+// ApplyBatch, so the fixed request overhead and the per-set integrity
+// work are paid once per drain instead of once per op.
 //
 // Between drains the worker runs the background scrubber: while requests
 // are pending it never scrubs; when idle it verifies scrubSets bucket

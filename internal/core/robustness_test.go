@@ -285,3 +285,56 @@ func TestQuarantinedPartsIsolation(t *testing.T) {
 		t.Fatalf("served=%d failed=%d: test never exercised both sides", served, failed)
 	}
 }
+
+// TestQuarantineChargesNothing pins the quarantine rule: a quarantined
+// partition refuses every key operation before charging anything — no
+// request overhead, no bucket hash, no plaintext-cache probe — whether
+// the op arrives alone or in a batch.
+func TestQuarantineChargesNothing(t *testing.T) {
+	cached := Defaults(64)
+	cached.CacheBytes = 1 << 20
+	for name, opts := range map[string]Options{"ShieldOpt": Defaults(64), "Cached": cached} {
+		t.Run(name, func(t *testing.T) {
+			opts.Quarantine = true
+			s, m, key, _, _ := fillStore(t, opts, 30)
+			if _, err := s.Get(m, key); err != nil { // warm the cache
+				t.Fatal(err)
+			}
+			s.quarantined.Store(true)
+			ops := map[string]func() error{
+				"Get":    func() error { _, err := s.Get(m, key); return err },
+				"Set":    func() error { return s.Set(m, key, []byte("x")) },
+				"Delete": func() error { return s.Delete(m, key) },
+				"Append": func() error { return s.Append(m, key, []byte("x")) },
+				"Incr":   func() error { _, err := s.Incr(m, []byte("ctr"), 1); return err },
+				"ApplyBatch": func() error {
+					rs := s.ApplyBatch(m, []BatchOp{
+						{Kind: BatchGet, Key: key},
+						{Kind: BatchSet, Key: []byte("new"), Value: []byte("v")},
+						{Kind: BatchDelete, Key: []byte("rk001")},
+						{Kind: BatchAppend, Key: []byte("rk002"), Value: []byte("x")},
+						{Kind: BatchIncr, Key: []byte("ctr"), Delta: 1},
+					})
+					for _, r := range rs {
+						if !errors.Is(r.Err, ErrQuarantined) {
+							return r.Err
+						}
+					}
+					return rs[0].Err
+				},
+			}
+			for op, f := range ops {
+				cycles, reqs := m.Cycles(), m.Events(sim.CtrRequest)
+				if err := f(); !errors.Is(err, ErrQuarantined) {
+					t.Fatalf("%s: %v, want ErrQuarantined", op, err)
+				}
+				if d := m.Cycles() - cycles; d != 0 {
+					t.Errorf("%s charged %d cycles on a quarantined store", op, d)
+				}
+				if d := m.Events(sim.CtrRequest) - reqs; d != 0 {
+					t.Errorf("%s counted %d requests on a quarantined store", op, d)
+				}
+			}
+		})
+	}
+}

@@ -185,6 +185,10 @@ type Store struct {
 	viewBuckets []int
 	viewOffs    []int
 	viewCnts    []int
+
+	// batchPend is ApplyBatchInto's grouping scratch, reused the same way
+	// (capped at maxKeptOps).
+	batchPend []batchPos
 }
 
 // New creates a store inside the given enclave. When cipher is nil a fresh
@@ -709,33 +713,22 @@ func (s *Store) verifyEntry(m *sim.Meter, v *setView, res *lookup) error {
 // Get returns the value stored under key.
 //
 //ss:attacker — keys arrive from the wire; chains live in untrusted memory.
-func (s *Store) Get(m *sim.Meter, key []byte) (val []byte, err error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	defer func() { s.noteErr(m, err) }()
-	m.Charge(s.model.RequestOverhead)
-	m.Count(sim.CtrRequest)
-	b := s.bucketOf(m, key)
+func (s *Store) Get(m *sim.Meter, key []byte) ([]byte, error) {
+	r := s.applyOne(m, BatchOp{Kind: BatchGet, Key: key})
+	return r.Val, r.Err
+}
 
-	if s.cache != nil {
-		if val, ok := s.cache.get(m, key); ok {
-			return val, nil
-		}
-	}
-
-	v, err := s.collectSet(m, b)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.verifySet(m, &v); err != nil {
-		return nil, err
-	}
-	return s.getInView(m, &v, b, key)
+// applyOne runs op as a batch of one, its op and result slots held on the
+// stack.
+func (s *Store) applyOne(m *sim.Meter, op BatchOp) BatchResult {
+	ops := [1]BatchOp{op}
+	var rs [1]BatchResult
+	s.ApplyBatchInto(m, ops[:], rs[:])
+	return rs[0]
 }
 
 // getInView serves a Get against an already collected and verified bucket
-// set. Shared by the single-op path and ApplyBatch.
+// set.
 func (s *Store) getInView(m *sim.Meter, v *setView, b int, key []byte) ([]byte, error) {
 	res, err := s.search(m, b, key)
 	if err != nil {
@@ -785,11 +778,7 @@ func (s *Store) verifyMiss(m *sim.Meter, v *setView, b int) error {
 //
 //ss:attacker — keys/values arrive from the wire.
 func (s *Store) Set(m *sim.Meter, key, value []byte) error {
-	m.Charge(s.model.RequestOverhead)
-	m.Count(sim.CtrRequest)
-	return s.mutate(m, key, false, func(_ []byte, _ bool) ([]byte, error) {
-		return value, nil
-	})
+	return s.applyOne(m, BatchOp{Kind: BatchSet, Key: key, Value: value}).Err
 }
 
 // Append appends suffix to the existing value (server-side computation,
@@ -798,23 +787,7 @@ func (s *Store) Set(m *sim.Meter, key, value []byte) error {
 //
 //ss:attacker — keys/suffixes arrive from the wire.
 func (s *Store) Append(m *sim.Meter, key, suffix []byte) error {
-	m.Charge(s.model.RequestOverhead)
-	m.Count(sim.CtrRequest)
-	return s.mutate(m, key, true, appendMutator(suffix))
-}
-
-// appendMutator builds the Append value transform (shared with the batch
-// path).
-func appendMutator(suffix []byte) func(old []byte, found bool) ([]byte, error) {
-	return func(old []byte, found bool) ([]byte, error) {
-		if !found {
-			return suffix, nil
-		}
-		nv := make([]byte, 0, len(old)+len(suffix))
-		nv = append(nv, old...)
-		nv = append(nv, suffix...)
-		return nv, nil
-	}
+	return s.applyOne(m, BatchOp{Kind: BatchAppend, Key: key, Value: suffix}).Err
 }
 
 // Incr adds delta to a decimal-encoded value, creating it at delta when
@@ -822,53 +795,40 @@ func appendMutator(suffix []byte) func(old []byte, found bool) ([]byte, error) {
 //
 //ss:attacker — keys arrive from the wire.
 func (s *Store) Incr(m *sim.Meter, key []byte, delta int64) (int64, error) {
-	m.Charge(s.model.RequestOverhead)
-	m.Count(sim.CtrRequest)
-	var out int64
-	err := s.mutate(m, key, true, incrMutator(delta, &out))
-	return out, err
-}
-
-// incrMutator builds the Incr value transform, writing the post-increment
-// number to out (shared with the batch path).
-func incrMutator(delta int64, out *int64) func(old []byte, found bool) ([]byte, error) {
-	return func(old []byte, found bool) ([]byte, error) {
-		cur := int64(0)
-		if found {
-			n, err := strconv.ParseInt(string(old), 10, 64)
-			if err != nil {
-				return nil, ErrNotNumeric
-			}
-			cur = n
-		}
-		*out = cur + delta
-		return strconv.AppendInt(nil, *out, 10), nil
-	}
+	r := s.applyOne(m, BatchOp{Kind: BatchIncr, Key: key, Delta: delta})
+	return r.Num, r.Err
 }
 
 // Delete removes key, returning ErrNotFound when absent.
 //
 //ss:attacker — keys arrive from the wire.
-func (s *Store) Delete(m *sim.Meter, key []byte) (err error) {
-	if err := s.guard(); err != nil {
-		return err
+func (s *Store) Delete(m *sim.Meter, key []byte) error {
+	return s.applyOne(m, BatchOp{Kind: BatchDelete, Key: key}).Err
+}
+
+// newValue computes the value a Set, Append or Incr op stores, given the
+// key's current value (found false: absent). num is Incr's new number.
+func newValue(op *BatchOp, old []byte, found bool) (val []byte, num int64, err error) {
+	switch op.Kind {
+	case BatchAppend:
+		if !found {
+			return op.Value, 0, nil
+		}
+		nv := make([]byte, 0, len(old)+len(op.Value))
+		nv = append(nv, old...)
+		return append(nv, op.Value...), 0, nil
+	case BatchIncr:
+		if found {
+			n, err := strconv.ParseInt(string(old), 10, 64)
+			if err != nil {
+				return nil, 0, ErrNotNumeric
+			}
+			num = n
+		}
+		num += op.Delta
+		return strconv.AppendInt(nil, num, 10), num, nil
 	}
-	defer func() { s.noteErr(m, err) }()
-	m.Charge(s.model.RequestOverhead)
-	m.Count(sim.CtrRequest)
-	b := s.bucketOf(m, key)
-	v, err := s.collectSet(m, b)
-	if err != nil {
-		return err
-	}
-	if err := s.verifySet(m, &v); err != nil {
-		return err
-	}
-	if err := s.deleteInView(m, &v, b, key); err != nil {
-		return err
-	}
-	s.writeSetHash(m, &v)
-	return nil
+	return op.Value, 0, nil
 }
 
 // deleteInView removes key from an already verified bucket set, updating
@@ -940,46 +900,24 @@ func (s *Store) deleteInView(m *sim.Meter, v *setView, b int, key []byte) error 
 	return nil
 }
 
-// mutate implements set/append/incr: search, verify, then update in place,
-// replace (size change), or insert at the chain head. needOld marks
-// mutators that read the previous value (append/incr): only those fault a
-// spilled old value back from the value log.
-func (s *Store) mutate(m *sim.Meter, key []byte, needOld bool, f func(old []byte, found bool) ([]byte, error)) (err error) {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	defer func() { s.noteErr(m, err) }()
-	b := s.bucketOf(m, key)
-	v, err := s.collectSet(m, b)
-	if err != nil {
-		return err
-	}
-	if err := s.verifySet(m, &v); err != nil {
-		return err
-	}
-	if err := s.mutateInView(m, &v, b, key, needOld, f); err != nil {
-		return err
-	}
-	s.writeSetHash(m, &v)
-	return nil
-}
-
-// mutateInView applies one set/append/incr against an already verified
-// bucket set, updating the view in place without committing it. The
-// caller runs writeSetHash — once per op on the single-op path, once per
-// touched set per batch in ApplyBatch (the amortization this layering
-// exists for).
-func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOld bool, f func(old []byte, found bool) ([]byte, error)) error {
+// mutateInView applies one Set/Append/Incr op against an already
+// verified bucket set — search, verify, then update in place, replace
+// (size change), or insert at the chain head — updating the view in place
+// without committing it. The caller runs writeSetHash once per touched
+// set per batch (the amortization this layering exists for). It returns
+// Incr's new number.
+func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, op *BatchOp) (int64, error) {
+	key := op.Key
 	res, err := s.search(m, b, key)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if res.found {
 		if err := s.verifyEntry(m, v, &res); err != nil {
-			return err
+			return 0, err
 		}
 	} else if err := s.verifyMissChain(m, v, b); err != nil {
-		return err
+		return 0, err
 	}
 
 	var oldVal []byte
@@ -988,7 +926,7 @@ func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOl
 	if res.found {
 		oldVal = res.val
 		if oldSpilled {
-			if needOld {
+			if op.Kind != BatchSet {
 				// Append/incr transform the previous value: fault it in.
 				oldPtr, oldVal, err = s.faultSpilled(m, key, res.val)
 			} else {
@@ -996,13 +934,13 @@ func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOl
 				oldVal = nil
 			}
 			if err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
-	newVal, err := f(oldVal, res.found)
+	newVal, num, err := newValue(op, oldVal, res.found)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	// Pick the stored representation: inline bytes, or a pointer to a
@@ -1011,7 +949,7 @@ func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOl
 	if s.shouldSpill(newVal) {
 		ptr, err := s.vlog.Append(m, key, newVal)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		var pb [vlog.PtrSize]byte
 		ptr.Encode(pb[:])
@@ -1027,7 +965,7 @@ func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOl
 		err = s.replace(m, v, &res, key, stored, flags)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	// Tier accounting: the old representation is garbage, the new one live.
@@ -1042,7 +980,7 @@ func (s *Store) mutateInView(m *sim.Meter, v *setView, b int, key []byte, needOl
 	if s.cache != nil {
 		s.cache.update(m, key, newVal)
 	}
-	return nil
+	return num, nil
 }
 
 // insert creates a new entry at the head of bucket b's chain. flags

@@ -78,6 +78,13 @@ func startPrimaryPool(t *testing.T, seed uint64, addr string, faults *fault.Plan
 // startPrimaryPoolN is startPrimaryPool with parts partitions.
 func startPrimaryPoolN(t *testing.T, seed uint64, addr string, faults *fault.Plane, parts int) (*core.Partitioned, *Shipper, *sim.Meter) {
 	t.Helper()
+	return startPrimaryPoolJournaled(t, seed, addr, faults, parts, nil)
+}
+
+// startPrimaryPoolJournaled is startPrimaryPoolN whose tees wrap the
+// local journal wal(part) (nil wal: replication without a local log).
+func startPrimaryPoolJournaled(t *testing.T, seed uint64, addr string, faults *fault.Plane, parts int, wal func(part int) core.Journal) (*core.Partitioned, *Shipper, *sim.Meter) {
+	t.Helper()
 	e := testEnclave(seed)
 	p := core.NewPartitioned(e, parts, core.Defaults(64))
 	s := NewShipper(p, ShipperOptions{
@@ -90,7 +97,11 @@ func startPrimaryPoolN(t *testing.T, seed uint64, addr string, faults *fault.Pla
 		MaxBackoff: 10 * time.Millisecond,
 	})
 	for i := 0; i < p.Parts(); i++ {
-		p.SetJournal(i, s.Tee(i, nil))
+		var inner core.Journal
+		if wal != nil {
+			inner = wal(i)
+		}
+		p.SetJournal(i, s.Tee(i, inner))
 	}
 	p.Start()
 	t.Cleanup(p.Stop)

@@ -185,7 +185,9 @@ type tee struct {
 // LogOp enqueues the mutation's replication frame, then forwards to the
 // wrapped journal. The frame is enqueued first — it cannot fail — so even
 // when the local WAL dies (and the partition flags JournalLost) the
-// mutation still reaches the replica this shard will fail over to.
+// mutation still reaches the replica this shard will fail over to. A
+// failed WAL is dropped and its error returned once; the tee keeps
+// shipping and committing (core.GroupJournal).
 func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta int64) error {
 	if seq := t.s.enqueue(m, t.part, frameKind(kind), key, value, delta); seq != 0 {
 		t.last = seq
@@ -193,7 +195,11 @@ func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta 
 	if t.inner == nil {
 		return nil
 	}
-	return t.inner.LogOp(m, kind, key, value, delta)
+	if err := t.inner.LogOp(m, kind, key, value, delta); err != nil {
+		t.inner = nil
+		return err
+	}
+	return nil
 }
 
 // Commit is the group-commit barrier: return only once the replica acked

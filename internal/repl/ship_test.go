@@ -6,6 +6,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -301,5 +302,44 @@ func TestGroupCommitCloseDuringFlush(t *testing.T) {
 	// A closed shipper takes no frames; writes keep succeeding locally.
 	if err := p.Set(m, []byte("after"), []byte("close")); err != nil {
 		t.Fatalf("Set after Close: %v", err)
+	}
+}
+
+// failingWAL is a local journal whose disk dies: every LogOp from the
+// failFrom-th on fails. Only the owning partition worker calls it.
+type failingWAL struct{ n, failFrom int }
+
+func (w *failingWAL) LogOp(*sim.Meter, core.BatchKind, []byte, []byte, int64) error {
+	w.n++
+	if w.n >= w.failFrom {
+		return errors.New("wal: write failed")
+	}
+	return nil
+}
+
+// TestGroupCommitSurvivesWALFailure fails the local WAL under a
+// partition's tee mid-run: only the WAL is dropped, the partition flags
+// JournalLost, and every write acknowledged after the failure — the
+// failing one included — is already on the replica when its ack returns.
+func TestGroupCommitSurvivesWALFailure(t *testing.T) {
+	rep := startReplicaNode(t, 66)
+	wal := &failingWAL{failFrom: 3}
+	p, s, m := startPrimaryPoolJournaled(t, 66, rep.addr, nil, 1, func(int) core.Journal { return wal })
+	rm := sim.NewMeter(rep.p.Enclave().Model())
+	const writes = 10
+	for i := 0; i < writes; i++ {
+		k, v := fmt.Sprintf("wal%02d", i), fmt.Sprintf("v%02d", i)
+		if err := p.Set(m, []byte(k), []byte(v)); err != nil {
+			t.Fatalf("Set %s: %v", k, err)
+		}
+		if got, err := rep.p.Get(rm, []byte(k)); err != nil || string(got) != v {
+			t.Fatalf("acked %s=%q but replica holds %q (%v)", k, v, got, err)
+		}
+	}
+	if !p.Part(0).JournalLost() {
+		t.Fatal("WAL failure did not flag JournalLost")
+	}
+	if acked, assigned := s.Watermark(); acked != writes || assigned != writes {
+		t.Fatalf("watermark acked=%d assigned=%d, want %d/%d", acked, assigned, writes, writes)
 	}
 }
